@@ -37,7 +37,7 @@ from .ingest import (
 )
 from .leadlag import aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import ForestConfig
-from .predict import CalibrationSchedule, rolling_forecast
+from .predict import CalibrationSchedule, _structure, rolling_forecast
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
 from .svn import FdrConfig, LinkCandidate, ValidatedNetwork, build_svn
 from .synth import MarketSpec, PlantedEdge, generate_market
@@ -71,12 +71,13 @@ class RunConfig:
     def validate(self):
         if not 0.01 <= self.rho0 <= 0.1:
             raise SystemExit(f"config error: rho0 must lie in [0.01, 0.1], got {self.rho0}")
-        if not 0 < self.p0 < 1:
-            raise SystemExit(f"config error: p0 must lie in (0, 1), got {self.p0}")
-        if list(self.window_lengths) != sorted(set(self.window_lengths)):
-            raise SystemExit("config error: window_lengths must be strictly increasing")
         if self.top_n < 1 or self.min_trades < 0:
             raise SystemExit("config error: top_n must be >= 1 and min_trades >= 0")
+        try:
+            FdrConfig(self.p0)
+            self.schedule()
+        except ValueError as exc:
+            raise SystemExit(f"config error: {exc}") from None
         return self
 
     @classmethod
@@ -257,16 +258,13 @@ def cmd_stability(args):
     d = W
     while d <= len(days):
         t0, t1 = int(days[d - W][0]), int(days[d - 1][-1]) + 1
-        window = matrix.slice_window(t0, t1)
-        active = filter_active(window, cfg.top_n, cfg.min_trades)
-        net = build_svn(active, FdrConfig(cfg.p0))
-        raw = detect_communities(project_weighted(net), seed=cfg.seed)
+        grouped, raw = _structure(matrix.slice_window(t0, t1), cfg.top_n, cfg.min_trades, cfg.p0, cfg.seed)
         if prev_labeled is None:
             lab = {t: g for t, g in raw.items()}
             next_fresh = max(lab.values(), default=0) + 1
         else:
             lab, next_fresh = relabel_partition(prev_labeled, raw, next_fresh)
-        series = aggregate_groups(active.select_traders(sorted(raw, key=str)), lab, cfg.rho0) if lab else None
+        series = aggregate_groups(grouped, lab, cfg.rho0) if lab else None
         lam = expand_trader_leadlag(build_leadlag(series, FdrConfig(cfg.p0)), lab) if series else None
         labeled.append(lab)
         adjacency.append(lam)

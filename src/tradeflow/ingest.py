@@ -345,11 +345,9 @@ def filter_active(matrix: StateMatrix, top_n: int = 500, min_trades: int = 100) 
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    order = sorted(
-        range(matrix.n_traders),
-        key=lambda k: (-int(matrix.trade_counts[k]), str(matrix.traders[k])),
-    )
-    keep = [k for k in order if matrix.trade_counts[k] >= min_trades][:top_n]
+    counts = matrix.trade_counts
+    order = sorted(range(matrix.n_traders), key=lambda k: (-int(counts[k]), str(matrix.traders[k])))
+    keep = [k for k in order if counts[k] >= min_trades][:top_n]
     keep_ids = sorted((matrix.traders[k] for k in keep), key=str)
     return matrix.select_traders(keep_ids)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import ACTIVE_STATES, StateMatrix, states_from_volumes
-from .svn import FdrConfig, STATE_PAIRS, bh_fdr, hypergeom_sf_batch
+from .svn import FdrConfig, _cooccurrence_tests
 
 
 @dataclass
@@ -90,64 +90,26 @@ def _lag_pairs(grid) -> np.ndarray:
     return np.flatnonzero(contiguous[1:] if len(contiguous) else contiguous)
 
 
-def build_leadlag(series: GroupStateSeries, config: FdrConfig = FdrConfig(), lag: int = 1) -> LeadLagNetwork:
-    """Validate lagged co-occurrences between group states.
+def build_leadlag(series: GroupStateSeries, config: FdrConfig = FdrConfig()) -> LeadLagNetwork:
+    """Validate lag-1 co-occurrences between group states.
 
-    Only lag-1 pairs within a session are aligned (no pairing across
+    Only (t, t+1) pairs within a session are aligned (no pairing across
     overnight or weekend gaps).  BH is applied with the full family size
     m = 9 * N_groups^2; untestable combinations contribute p = 1 implicitly.
     """
-    if lag != 1:
-        raise ValueError("only lag 1 is supported in network validation")
     n_groups = series.n_groups
     if n_groups < 1:
         return LeadLagNetwork(groups=[], edges=[], threshold=0.0, n_tests=0, p0=config.p0, n_pairs=0)
     t_lead = _lag_pairs(series.grid)
-    t_lag = t_lead + 1
-    T = len(t_lead)
     m = 9 * n_groups * n_groups
-    if T == 0:
-        return LeadLagNetwork(groups=list(series.labels), edges=[], threshold=0.0, n_tests=m, p0=config.p0, n_pairs=0)
-
-    lead_ind = {s: (series.sigma[:, t_lead] == s) for s in ACTIVE_STATES}
-    lag_ind = {s: (series.sigma[:, t_lag] == s) for s in ACTIVE_STATES}
-    lead_occ = {s: lead_ind[s].sum(axis=1).astype(np.int64) for s in ACTIVE_STATES}
-    lag_occ = {s: lag_ind[s].sum(axis=1).astype(np.int64) for s in ACTIVE_STATES}
-
-    all_p, all_meta = [], []
-    for s, s2 in STATE_PAIRS:
-        co = lead_ind[s].astype(np.int64) @ lag_ind[s2].T.astype(np.int64)  # (g, g')
-        gi, gj = np.meshgrid(np.arange(n_groups), np.arange(n_groups), indexing="ij")
-        gi, gj = gi.ravel(), gj.ravel()
-        n_i = lead_occ[s][gi]
-        n_j = lag_occ[s2][gj]
-        x = co.ravel()
-        testable = (n_i > 0) & (n_j > 0)
-        p = hypergeom_sf_batch(T, n_i[testable], n_j[testable], x[testable])
-        all_p.append(p)
-        all_meta.append((s, s2, gi[testable], gj[testable], x[testable]))
-
-    pvals = np.concatenate(all_p)
-    if len(pvals) == 0:
-        return LeadLagNetwork(groups=list(series.labels), edges=[], threshold=0.0, n_tests=m, p0=config.p0, n_pairs=T)
-    threshold, reject = bh_fdr(pvals, config.p0, n_tests=m)
-
-    edges = []
-    pos = 0
-    for p, (s, s2, gi, gj, x) in zip(all_p, all_meta):
-        rej = reject[pos : pos + len(p)]
-        pos += len(p)
-        for k in np.flatnonzero(rej):
-            edges.append(
-                LeadLagEdge(
-                    from_group=series.labels[gi[k]],
-                    to_group=series.labels[gj[k]],
-                    state_from=s,
-                    state_to=s2,
-                    co_count=int(x[k]),
-                    p_value=float(p[k]),
-                )
-            )
+    lead = {s: (series.sigma[:, t_lead] == s) for s in ACTIVE_STATES}
+    lag = {s: (series.sigma[:, t_lead + 1] == s) for s in ACTIVE_STATES}
+    gi, gj = np.divmod(np.arange(n_groups * n_groups), n_groups)
+    threshold, _, rejected = _cooccurrence_tests(lead, lag, gi, gj, len(t_lead), config.p0, n_tests=m)
+    edges = [
+        LeadLagEdge(series.labels[i], series.labels[j], s, s2, x, p)
+        for s, s2, i, j, x, _, _, p in rejected
+    ]
     edges.sort(key=lambda e: (e.from_group, e.to_group, e.state_from, e.state_to))
     return LeadLagNetwork(
         groups=list(series.labels),
@@ -155,7 +117,7 @@ def build_leadlag(series: GroupStateSeries, config: FdrConfig = FdrConfig(), lag
         threshold=threshold,
         n_tests=m,
         p0=config.p0,
-        n_pairs=T,
+        n_pairs=len(t_lead),
     )
 
 

@@ -137,17 +137,26 @@ class _Calibration:
     n_groups: int
 
 
+def _structure(window: StateMatrix, top_n: int, min_trades: int, p0: float, seed: int):
+    """Infer the trader groups of one window: activity filter, SVN, communities.
+
+    Returns ``(grouped, partition)``: the active traders that received a
+    group, in id order, and the mapping trader -> group.  A window with fewer
+    than two active traders gives ``(None, {})``.
+    """
+    active = filter_active(window, top_n, min_trades)
+    if active.n_traders < 2:
+        return None, {}
+    net = build_svn(active, FdrConfig(p0))
+    partition = detect_communities(project_weighted(net), seed=seed)
+    return active.select_traders(sorted(partition, key=str)), partition
+
+
 def _calibrate(matrix, t0, t1, target, cfg, rng_seed):
     window = matrix.slice_window(t0, t1)
-    active = filter_active(window, cfg["top_n"], cfg["min_trades"])
-    if active.n_traders < 2:
-        return _Calibration(None, [], None, 0)
-    net = build_svn(active, FdrConfig(cfg["p0"]), min_slices=cfg["min_window_slices"])
-    graph = project_weighted(net)
-    partition = detect_communities(graph, seed=rng_seed)
+    grouped, partition = _structure(window, cfg["top_n"], cfg["min_trades"], cfg["p0"], rng_seed)
     if not partition:
         return _Calibration(None, [], None, 0)
-    grouped = active.select_traders(sorted(partition, key=str))
     series = aggregate_groups(grouped, partition, cfg["rho0"])
     X, rows = build_predictors(series.sigma, window.grid, cfg["lag_depth"])
     target_window = target[t0:t1]
@@ -175,7 +184,6 @@ def rolling_forecast(
     min_trades: int = 100,
     lag_depth: int = 1,
     forest_config: ForestConfig = ForestConfig(),
-    min_window_slices: int = 50,
     max_days: int | None = None,
 ):
     """Run the daily-recalibrated rolling forecast.
@@ -205,7 +213,6 @@ def rolling_forecast(
         "min_trades": min_trades,
         "lag_depth": lag_depth,
         "forest": forest_config,
-        "min_window_slices": min_window_slices,
     }
     days = matrix.grid.day_slices()
     records, skipped = [], []

@@ -51,6 +51,11 @@ def test_config_defaults_and_validation(tmp_path):
     bad.write_text("not_a_key: 1\n")
     with pytest.raises(SystemExit, match="unknown keys"):
         RunConfig.load(str(bad))
+    # values the library would reject mid-pipeline fail at load time
+    for text in ("recalibrate_every: 0\n", "p0: 1.5\n", "window_lengths: [50, 45]\n"):
+        bad.write_text(text)
+        with pytest.raises(SystemExit, match="config error"):
+            RunConfig.load(str(bad))
 
 
 def test_config_hash_tracks_content(tmp_path):

@@ -103,11 +103,6 @@ def test_follower_validated_and_direction_correct():
     assert all(p[1] != 3 or p[0] == 3 for p in pairs) or (1, 3) not in pairs
 
 
-def test_leadlag_only_lag_one_supported():
-    with pytest.raises(ValueError):
-        build_leadlag(_series_from_sigma(np.zeros((1, 60))), lag=2)
-
-
 def test_leadlag_self_loops_allowed():
     # a group that repeats its own state should self-validate
     rng = np.random.default_rng(3)

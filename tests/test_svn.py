@@ -15,7 +15,6 @@ from tradeflow.svn import (
     build_svn,
     count_cooccurrences,
     hypergeom_sf,
-    hypergeom_sf_batch,
 )
 
 
@@ -38,6 +37,8 @@ def test_hypergeom_argument_validation():
         hypergeom_sf(10, 11, 5, 2)
     with pytest.raises(ValueError):
         hypergeom_sf(10, 5, 5, 6)
+    with pytest.raises(ValueError):  # one bad entry in an array call
+        hypergeom_sf(10, np.array([5, 5, 5]), np.array([5, 5, 5]), np.array([0, 6, 1]))
 
 
 @given(
@@ -54,15 +55,17 @@ def test_hypergeom_matches_enumeration(T, data):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
-def test_batch_matches_scalar():
+def test_hypergeom_array_matches_enumeration():
     rng = np.random.default_rng(1)
     T = 350
     n_i = rng.integers(0, T + 1, size=300)
     n_j = rng.integers(0, T + 1, size=300)
     x = np.array([rng.integers(0, min(a, b) + 1) for a, b in zip(n_i, n_j)])
-    batch = hypergeom_sf_batch(T, n_i, n_j, x)
+    got = hypergeom_sf(T, n_i, n_j, x)
+    assert isinstance(got, np.ndarray) and got.shape == (300,)
     for k in range(300):
-        assert batch[k] == pytest.approx(hypergeom_sf(T, n_i[k], n_j[k], x[k]), rel=1e-11)
+        want = float(exact_sf(T, int(n_i[k]), int(n_j[k]), int(x[k])))
+        assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_bh_hand_stepped_example():
