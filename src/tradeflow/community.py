@@ -7,6 +7,7 @@ two-level map equation of an undirected random walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,8 @@ class WeightedGraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def strength(self, k: int) -> float:
-        return float(sum(self.adj[k].values()))
-
-    def total_weight(self) -> float:
-        return sum(self.strength(k) for k in range(self.n_nodes)) / 2.0
+    def strength(self, k: int):
+        return sum(self.adj[k].values())
 
     def components(self) -> list:
         """Connected components as lists of node indices, deterministic order."""
@@ -73,12 +71,18 @@ def project_weighted(network: ValidatedNetwork) -> WeightedGraph:
     return WeightedGraph(nodes=nodes, adj=adj)
 
 
+
+
 def _plogp(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     pos = x > 0
     out[pos] = x[pos] * np.log2(x[pos])
     return out
+
+
+def _plp(x: float) -> float:
+    return x * math.log2(x) if x > 0 else 0.0
 
 
 def map_equation_codelength(graph: WeightedGraph, assignment) -> float:
@@ -89,20 +93,27 @@ def map_equation_codelength(graph: WeightedGraph, assignment) -> float:
     """
     if graph.n_nodes == 0:
         raise ValueError("empty graph")
-    labels = _as_label_array(graph, assignment)
+    # dicts are keyed by node id; sequences are positional
+    if isinstance(assignment, dict):
+        assignment = [assignment[n] for n in graph.nodes]
     strengths = np.array([graph.strength(k) for k in range(graph.n_nodes)])
     w2 = strengths.sum()
     if w2 == 0:
         return 0.0
-    p = strengths / w2
+    return _codelength(graph.adj, strengths, w2, np.asarray(assignment))
+
+
+def _codelength(adj, strengths, w2, labels) -> float:
+    """L(M) of the nodes in ``adj`` with visit rates ``strengths / w2``."""
+    p = np.asarray(strengths) / w2
     modules = np.unique(labels)
     cut = np.zeros(len(modules))
     pm = np.zeros(len(modules))
     mod_index = {m: k for k, m in enumerate(modules)}
-    for k in range(graph.n_nodes):
+    for k in range(len(adj)):
         mk = mod_index[labels[k]]
         pm[mk] += p[k]
-        for nbr, w in graph.adj[k].items():
+        for nbr, w in adj[k].items():
             if labels[nbr] != labels[k]:
                 cut[mk] += w
     q = cut / w2
@@ -118,79 +129,81 @@ def map_equation_codelength(graph: WeightedGraph, assignment) -> float:
     return float(L)
 
 
-def _as_label_array(graph: WeightedGraph, assignment) -> np.ndarray:
-    """Dicts are keyed by node id; sequences are positional."""
-    if isinstance(assignment, dict):
-        return np.array([assignment[n] for n in graph.nodes])
-    return np.asarray(assignment)
-
-
 class _Partitioner:
-    """Greedy map-equation minimization on one graph (node indices only)."""
+    """Greedy map-equation minimization on one graph (node indices only).
+
+    Each module is summarised by its volume (summed strength) and its cut.
+    With integer link weights both are ints, so the state is exact: a move
+    or a merge is scored from the modules it touches alone, and undoing a
+    change scores its negative up to ``plogp`` round-off, far below the
+    ``1e-12`` a change must gain.  Node visit rates cancel in every score.
+    """
 
     def __init__(self, adj, strengths, w2):
         self.adj = adj
         self.s = strengths
         self.w2 = w2
         self.n = len(adj)
-        self.node_term = sum(_plp(si / w2) for si in strengths)
-
-    def codelength(self, labels):
-        mods = {}
-        for k in range(self.n):
-            m = labels[k]
-            if m not in mods:
-                mods[m] = [0.0, 0.0]  # [sum p, cut]
-            mods[m][0] += self.s[k] / self.w2
-        for k in range(self.n):
-            for nbr, w in self.adj[k].items():
-                if labels[nbr] != labels[k]:
-                    mods[labels[k]][1] += w
-        sum_q = 0.0
-        acc = 0.0
-        for pm, cut in mods.values():
-            q = cut / self.w2
-            sum_q += q
-            acc += -2.0 * _plp(q) + _plp(q + pm)
-        return _plp(sum_q) + acc - self.node_term
 
     def optimize(self, rng):
-        labels = list(range(self.n))
+        self._load(list(range(self.n)))
         improved = True
         while improved:
-            improved = self._move_pass(labels, rng)
-            merged = self._aggregate_pass(labels, rng)
+            improved = self._move_pass(rng)
+            merged = self._aggregate_pass()
             improved = improved or merged
-        return labels
+        return self.labels
 
-    def _move_pass(self, labels, rng):
-        """Node-level local moves until no single move improves L.
+    def _load(self, labels):
+        self.labels = labels
+        self.vol, self.cut = {}, {}
+        for k, m in enumerate(labels):
+            self.vol[m] = self.vol.get(m, 0) + self.s[k]
+            self.cut[m] = self.cut.get(m, 0) + sum(w for nbr, w in self.adj[k].items() if labels[nbr] != m)
+        self.total = sum(self.cut.values())
 
-        Keeps per-module visit mass and cut incrementally; a candidate move
-        only touches the donor and recipient module terms, so each
-        evaluation is O(deg) instead of O(E).  An accepted move is verified
-        against the exact codelength and must strictly decrease it:
-        incremental round-off can otherwise declare symmetric, equal-cost
-        moves improving in both directions and cycle forever.
+    def _weights_to(self, k) -> dict:
+        """Summed weight of node k's links into each module."""
+        w_to = {}
+        for nbr, w in self.adj[k].items():
+            m = self.labels[nbr]
+            w_to[m] = w_to.get(m, 0) + w
+        return w_to
+
+    def _moved(self, k, b, w_to) -> dict:
+        """Module (cut, volume) after moving node k into module b.
+
+        k's links into its own module a become boundary links of a and stay
+        boundary links of b; its links into b become internal.
         """
-        base = self.codelength(labels)
-        pm = {}
-        cut = {}
-        size = {}
-        for k in range(self.n):
-            m = labels[k]
-            pm[m] = pm.get(m, 0.0) + self.s[k] / self.w2
-            size[m] = size.get(m, 0) + 1
-            cut.setdefault(m, 0.0)
-            for nbr, w in self.adj[k].items():
-                if labels[nbr] != m:
-                    cut[m] = cut.get(m, 0.0) + w
-        sum_q = sum(cut.values()) / self.w2
+        a, s_k = self.labels[k], self.s[k]
+        return {
+            a: (self.cut[a] + 2 * w_to.get(a, 0) - s_k, self.vol[a] - s_k),
+            b: (self.cut[b] + s_k - 2 * w_to[b], self.vol[b] + s_k),
+        }
 
-        def mod_term(q_raw, mass):
-            q = q_raw / self.w2
-            return -2.0 * _plp(q) + _plp(q + mass)
+    def _merged(self, a, b, link_ab) -> dict:
+        """Module (cut, volume) after merging module b into a; their shared links become internal."""
+        return {a: (self.cut[a] + self.cut[b] - 2 * link_ab, self.vol[a] + self.vol[b]), b: (0, 0)}
 
+    def _delta(self, changed) -> float:
+        """Codelength change in bits if modules take the (cut, volume) in ``changed``."""
+        total, delta = self.total, 0.0
+        for m, (c, v) in changed.items():
+            total += c - self.cut[m]
+            delta += self._term(c, v) - self._term(self.cut[m], self.vol[m])
+        return delta + _plp(total / self.w2) - _plp(self.total / self.w2)
+
+    def _term(self, cut, vol) -> float:
+        return -2.0 * _plp(cut / self.w2) + _plp((cut + vol) / self.w2)
+
+    def _commit(self, changed):
+        for m, (c, v) in changed.items():
+            self.total += c - self.cut[m]
+            self.cut[m], self.vol[m] = c, v
+
+    def _move_pass(self, rng):
+        """Node-level local moves until no single move improves L."""
         any_gain = False
         order = np.arange(self.n)
         improving = True
@@ -198,87 +211,45 @@ class _Partitioner:
             improving = False
             rng.shuffle(order)
             for k in order:
-                a = labels[k]
-                w_to = {}
-                for nbr, w in self.adj[k].items():
-                    m = labels[nbr]
-                    w_to[m] = w_to.get(m, 0) + w
-                cands = sorted(m for m in w_to if m != a)
-                if not cands:
-                    continue
-                pk = self.s[k] / self.w2
-                deg_k = self.s[k]
-                w_a = w_to.get(a, 0)
-                # moving k out of a: internal edges to a become boundary,
-                # all of k's other edges stop counting against a
-                new_cut_a = cut[a] + 2 * w_a - deg_k
-                a_vanishes = size[a] == 1
-                before_a = _plp(sum_q) + mod_term(cut[a], pm[a])
-                best_delta, best_m = 0.0, a
-                for b in cands:
-                    # k's edges into b become internal, the rest boundary of b
-                    new_cut_b = cut[b] + deg_k - w_a - 2 * w_to[b]
-                    new_sum_q = sum_q + (new_cut_a - cut[a] + new_cut_b - cut[b]) / self.w2
-                    after = _plp(new_sum_q) + mod_term(new_cut_b, pm[b] + pk)
-                    if not a_vanishes:
-                        after += mod_term(new_cut_a, pm[a] - pk)
-                    before = before_a + mod_term(cut[b], pm[b])
-                    delta = after - before
+                a = self.labels[k]
+                w_to = self._weights_to(k)
+                best_delta, best = 0.0, None
+                for b in sorted(m for m in w_to if m != a):
+                    changed = self._moved(k, b, w_to)
+                    delta = self._delta(changed)
                     if delta < best_delta - 1e-12:
-                        best_delta, best_m = delta, b
-                if best_m != a:
-                    b = best_m
-                    labels[k] = b
-                    L_new = self.codelength(labels)
-                    if L_new >= base - 1e-12:
-                        labels[k] = a
-                        continue
-                    base = L_new
-                    new_cut_b = cut[b] + deg_k - w_a - 2 * w_to[b]
-                    sum_q += (new_cut_a - cut[a] + new_cut_b - cut[b]) / self.w2
-                    cut[b] = new_cut_b
-                    pm[b] += pk
-                    size[b] += 1
-                    if a_vanishes:
-                        cut.pop(a), pm.pop(a), size.pop(a)
-                    else:
-                        cut[a] = new_cut_a
-                        pm[a] -= pk
-                        size[a] -= 1
-                    labels[k] = b
-                    improving = True
-                    any_gain = True
+                        best_delta, best = delta, (b, changed)
+                if best is not None:
+                    self.labels[k] = best[0]
+                    self._commit(best[1])
+                    improving = any_gain = True
         return any_gain
 
-    def _aggregate_pass(self, labels, rng):
-        """Try merging whole modules along inter-module edges."""
+    def _aggregate_pass(self):
+        """Merge whole modules along inter-module links while that lowers L."""
         any_gain = False
         improving = True
         while improving:
             improving = False
-            base = self.codelength(labels)
-            pairs = set()
-            for k in range(self.n):
-                for nbr in self.adj[k]:
-                    a, b = labels[k], labels[nbr]
-                    if a != b:
-                        pairs.add((min(a, b), max(a, b)))
-            for a, b in sorted(pairs):
-                current = [l for l in labels]
-                if a not in current or b not in current:
-                    continue
-                merged = [a if l == b else l for l in labels]
-                L = self.codelength(merged)
-                if L < base - 1e-12:
-                    labels[:] = merged
-                    base = L
-                    improving = True
-                    any_gain = True
+            link = {m: {} for m in self.vol}
+            for k, a in enumerate(self.labels):
+                for b, w in self._weights_to(k).items():
+                    if b != a:
+                        link[a][b] = link[a].get(b, 0) + w
+            for a, b in sorted((a, b) for a in link for b in link[a] if a < b):
+                if b not in link.get(a, ()):
+                    continue  # a or b was merged away in this sweep
+                changed = self._merged(a, b, link[a][b])
+                if self._delta(changed) < -1e-12:
+                    self._commit(changed)
+                    del link[a][b]
+                    for c, w in link.pop(b).items():
+                        if c != a:
+                            del link[c][b]
+                            link[c][a] = link[a][c] = link[a].get(c, 0) + w
+                    self.labels[:] = [a if m == b else m for m in self.labels]
+                    improving = any_gain = True
         return any_gain
-
-
-def _plp(x: float) -> float:
-    return x * np.log2(x) if x > 0 else 0.0
 
 
 def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10) -> dict:
@@ -300,13 +271,13 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
         if w2 == 0 or len(comp) == 1:
             best = [0] * len(comp)
         else:
-            part = _Partitioner(adj, [strengths[g] for g in comp], w2)
+            comp_strengths = [strengths[g] for g in comp]
+            part = _Partitioner(adj, comp_strengths, w2)
             best, best_L = None, None
             for r in range(n_restarts):
                 rng = np.random.default_rng([seed, r])
-                labels = part.optimize(rng)
-                labels = _canonical(labels)
-                L = part.codelength(labels)
+                labels = _canonical(part.optimize(rng))
+                L = _codelength(adj, comp_strengths, w2, labels)
                 key = (round(L, 12), labels)
                 if best is None or key < (round(best_L, 12), best):
                     best, best_L = labels, L

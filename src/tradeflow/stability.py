@@ -120,8 +120,10 @@ def leadlag_overlap_beta(first: TraderLeadLagAdjacency, second: TraderLeadLagAdj
     common = sorted(set(first.traders) & set(second.traders), key=str)
     if not common:
         return None
-    ia = [first.traders.index(t) for t in common]
-    ib = [second.traders.index(t) for t in common]
+    pos_a = {t: k for k, t in enumerate(first.traders)}
+    pos_b = {t: k for k, t in enumerate(second.traders)}
+    ia = [pos_a[t] for t in common]
+    ib = [pos_b[t] for t in common]
     a = first.matrix[np.ix_(ia, ia)]
     b = second.matrix[np.ix_(ib, ib)]
     denom = int(a.sum())
