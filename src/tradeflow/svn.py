@@ -5,6 +5,14 @@ co-occurring slices is tested against a hypergeometric null (random placement
 of each trader's state occurrences over the window).  Benjamini-Hochberg
 controls the false discovery rate over the whole family of tests.  The
 lagged group network of ``leadlag`` is validated by the same routine.
+
+BH at level p0 never rejects a test with p > p0, so a p-value is computed
+only for tests that could have p <= p0.  A count at the bottom of its
+support (p = 1), a count at or below the hypergeometric median (p >= 1/2,
+screened when p0 < 1/2) and a count whose first tail term already exceeds
+p0 are dropped without summing their tails.  The surviving p-values, the BH
+threshold, the rejection set and the family size are the same, to the bit,
+as when every pair is tested in full.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .ingest import ACTIVE_STATES, StateMatrix
 
 STATE_PAIRS = tuple(product(ACTIVE_STATES, ACTIVE_STATES))
 MIN_WINDOW_SLICES = 50  # shortest window (in slices) the co-occurrence tests accept
+SCREEN_MARGIN = 1e-9  # log-space slack so that a screened test's computed p exceeds p0 despite round-off
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,25 @@ class ValidatedNetwork:
     window: tuple = field(default=None)
 
 
+def _log_factorials(T: int) -> np.ndarray:
+    """Table lf with lf[n] = log n! for n = 0..T+1."""
+    return gammaln(np.arange(T + 2, dtype=np.float64) + 1.0)
+
+
+def _log_pmf(lf, T: int, n_i, n_j, k):
+    """log P(X = k), X hypergeometric(T, n_i marked, n_j drawn), from the table lf.
+
+    The one expression behind both the tail sums of ``hypergeom_sf`` and the
+    first-term screen of ``_cooccurrence_tests``: equal arguments give equal
+    bits in both.  Needs max(0, n_i + n_j - T) <= k <= min(n_i, n_j).
+    """
+    return (
+        lf[n_i] - lf[k] - lf[n_i - k]
+        + lf[T - n_i] - lf[n_j - k] - lf[T - n_i - n_j + k]
+        - (lf[T] - lf[n_j] - lf[T - n_j])
+    )
+
+
 def hypergeom_sf(T: int, n_i, n_j, x):
     """Exact upper tail P(X >= x), X hypergeometric(T, n_i marked, n_j drawn).
 
@@ -80,14 +108,7 @@ def hypergeom_sf(T: int, n_i, n_j, x):
         lengths = his - xs + 1
         offsets = np.concatenate(([0], np.cumsum(lengths)))
         k = np.repeat(xs, lengths) + (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths))
-        rep_ni = np.repeat(ni, lengths)
-        rep_nj = np.repeat(nj, lengths)
-        lf = gammaln(np.arange(T + 2, dtype=np.float64) + 1.0)  # lf[n] = log n!
-        logpmf = (
-            lf[rep_ni] - lf[k] - lf[rep_ni - k]
-            + lf[T - rep_ni] - lf[rep_nj - k] - lf[T - rep_ni - rep_nj + k]
-            - (lf[T] - lf[rep_nj] - lf[T - rep_nj])
-        )
+        logpmf = _log_pmf(_log_factorials(T), T, np.repeat(ni, lengths), np.repeat(nj, lengths), k)
         seg_max = np.maximum.reduceat(logpmf, offsets[:-1])
         seg_sum = np.add.reduceat(np.exp(logpmf - np.repeat(seg_max, lengths)), offsets[:-1])
         out[need] = np.minimum(1.0, np.exp(seg_max) * seg_sum)
@@ -112,13 +133,18 @@ def count_cooccurrences(matrix: StateMatrix, i, j, state_pair):
 def bh_fdr(p_values, p0: float, n_tests: int | None = None):
     """Benjamini-Hochberg threshold and rejection flags.
 
-    ``n_tests`` may exceed ``len(p_values)`` when some hypotheses of the
-    family were not explicitly scored (their p-values are treated as 1).
+    ``n_tests`` is the family size (default: ``len(p_values)``).  It may
+    exceed ``len(p_values)`` when the hypotheses left out are known to have
+    p > p0 (untestable ones count as p = 1): they rank after every p <= p0,
+    so the threshold and the rejections are those of the full family.  A
+    family smaller than the p-values given is refused.
     """
     p = np.asarray(p_values, dtype=np.float64)
     if len(p) == 0:
         raise ValueError("p_values must be non-empty")
     m = len(p) if n_tests is None else int(n_tests)
+    if m < len(p):
+        raise ValueError(f"family size n_tests = {m} is smaller than the {len(p)} p-values given")
     order = np.argsort(p, kind="stable")
     ranked = p[order]
     crit = np.arange(1, len(p) + 1) * p0 / m
@@ -136,31 +162,56 @@ def _cooccurrence_tests(lead: dict, lag: dict, ii, jj, T: int, p0: float, n_test
     the count x of slices where row i of ``lead`` is in s and row j of
     ``lag`` is in s' is tested against the hypergeometric tail.  Pairs where
     either side never shows its state are untestable and skipped.  BH runs
-    over the tested p-values with family size ``n_tests`` (default: the
-    number tested).  Returns ``(threshold, n_tested, rejected)``, ``rejected``
-    holding ``(s, s', i, j, x, n_i, n_j, p)`` in state-pair, then pair order.
+    with family size ``n_tests`` (default: the number of testable pairs).
+    Returns ``(threshold, n_tested, rejected)``, ``rejected`` holding
+    ``(s, s', i, j, x, n_i, n_j, p)`` in state-pair, then pair order.
+
+    Only tests that BH could reject get a p-value.  A testable pair is
+    screened out, with p > p0 certain, when
+      * x <= max(0, n_i + n_j - T): the whole support lies at or above x, p = 1;
+      * p0 < 1/2 and x*T <= n_i*n_j: x is at most floor(E[X]) and the
+        hypergeometric median is floor(E[X]) or ceil(E[X]), so p >= 1/2;
+      * log pmf(x) > log p0 + SCREEN_MARGIN: the first tail term alone
+        exceeds p0, and ``hypergeom_sf`` sums that very term (same
+        ``_log_pmf`` bits) plus non-negative ones.
+    The survivors go to ``hypergeom_sf`` as they are, so their p-values keep
+    their bits, and BH runs on them with the full family size: screened
+    tests rank after every p <= p0, so the threshold, the rejections and
+    ``n_tested`` are those of testing every pair.
     """
+    lf = _log_factorials(T)
+    log_cut = np.log(p0) + SCREEN_MARGIN
+    median_skip = log_cut < np.log(0.5)
     lead_occ = {s: lead[s].sum(axis=1).astype(np.int64) for s in ACTIVE_STATES}
     lag_occ = {s: lag[s].sum(axis=1).astype(np.int64) for s in ACTIVE_STATES}
+    # float64 products run on BLAS and are exact: every count is at most T < 2**53
+    lead_f = {s: lead[s].astype(np.float64) for s in ACTIVE_STATES}
+    lag_f = {s: lag[s].astype(np.float64) for s in ACTIVE_STATES}
+    n_tested = 0
     blocks = []
     for s_i, s_j in STATE_PAIRS:
-        co = (lead[s_i].astype(np.int64) @ lag[s_j].T.astype(np.int64))[ii, jj]
+        co = (lead_f[s_i] @ lag_f[s_j].T)[ii, jj].astype(np.int64)
         n_i = lead_occ[s_i][ii]
         n_j = lag_occ[s_j][jj]
-        ok = (n_i > 0) & (n_j > 0)
-        x, n_i, n_j = co[ok], n_i[ok], n_j[ok]
-        blocks.append((s_i, s_j, ii[ok], jj[ok], x, n_i, n_j, hypergeom_sf(T, n_i, n_j, x)))
+        n_tested += int(((n_i > 0) & (n_j > 0)).sum())
+        keep = co > np.maximum(0, n_i + n_j - T)  # implies n_i, n_j > 0
+        if median_skip:
+            keep &= co * T > n_i * n_j
+        k = np.flatnonzero(keep)
+        k = k[_log_pmf(lf, T, n_i[k], n_j[k], co[k]) <= log_cut]
+        x, n_i, n_j = co[k], n_i[k], n_j[k]
+        blocks.append((s_i, s_j, ii[k], jj[k], x, n_i, n_j, hypergeom_sf(T, n_i, n_j, x)))
     pvals = np.concatenate([b[-1] for b in blocks])
     if len(pvals) == 0:
-        return 0.0, 0, []
-    threshold, reject = bh_fdr(pvals, p0, n_tests)
+        return 0.0, n_tested, []
+    threshold, reject = bh_fdr(pvals, p0, n_tested if n_tests is None else n_tests)
     rejected = []
     pos = 0
     for s_i, s_j, i, j, x, n_i, n_j, p in blocks:
         for k in np.flatnonzero(reject[pos : pos + len(p)]):
             rejected.append((s_i, s_j, int(i[k]), int(j[k]), int(x[k]), int(n_i[k]), int(n_j[k]), float(p[k])))
         pos += len(p)
-    return threshold, len(pvals), rejected
+    return threshold, n_tested, rejected
 
 
 def build_svn(matrix: StateMatrix, config: FdrConfig = FdrConfig()) -> ValidatedNetwork:

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradeflow.ingest import StateMatrix, build_grid
+import tradeflow.svn as svn
+from tradeflow.ingest import ACTIVE_STATES, StateMatrix, build_grid
+from tradeflow.leadlag import _lag_pairs
 from tradeflow.svn import (
     STATE_PAIRS,
     FdrConfig,
+    _cooccurrence_tests,
     bh_fdr,
     build_svn,
     count_cooccurrences,
@@ -86,6 +89,14 @@ def test_bh_external_family_size():
     threshold, reject = bh_fdr([0.0004, 0.002], 0.05, n_tests=100)
     assert threshold == 0.0004
     assert reject.tolist() == [True, False]
+
+
+def test_bh_refuses_family_smaller_than_p_values():
+    with pytest.raises(ValueError):  # would reject all three
+        bh_fdr([0.01, 0.02, 0.04], 0.05, n_tests=1)
+    with pytest.raises(ValueError):  # would divide by zero
+        bh_fdr([0.01, 0.02, 0.04], 0.05, n_tests=0)
+    assert bh_fdr([0.01, 0.02, 0.04], 0.05, n_tests=3)[0] == 0.04
 
 
 def test_bh_rejection_set_is_p0_monotone():
@@ -165,3 +176,136 @@ def test_build_svn_null_rarely_rejects():
         net = build_svn(_matrix_from_sigma(sigma))
         hits += bool(net.edges)
     assert hits <= 4
+
+
+def test_median_bound_exhaustive():
+    # x <= floor(n_i*n_j/T) implies P(X >= x) >= 1/2, checked in integers:
+    # 2 * sum_{k>=x} C(n_i,k) C(T-n_i,n_j-k) >= C(T,n_j)
+    for T in range(1, 41):
+        for n_i in range(T + 1):
+            for n_j in range(T + 1):
+                total = comb(T, n_j)
+                tail = 0
+                for k in range(min(n_i, n_j), -1, -1):
+                    tail += comb(n_i, k) * comb(T - n_i, n_j - k)
+                    if k * T <= n_i * n_j:
+                        assert 2 * tail >= total, (T, n_i, n_j, k)
+
+
+def _full_tests(lead, lag, ii, jj, T, p0, n_tests=None):
+    """Reference for ``_cooccurrence_tests``: a p-value for every testable pair."""
+    rows = []
+    for s_i, s_j in STATE_PAIRS:
+        co = (lead[s_i].astype(np.int64) @ lag[s_j].T.astype(np.int64))[ii, jj]
+        n_i = lead[s_i].sum(axis=1)[ii]
+        n_j = lag[s_j].sum(axis=1)[jj]
+        for k in np.flatnonzero((n_i > 0) & (n_j > 0)):
+            rows.append((s_i, s_j, int(ii[k]), int(jj[k]), int(co[k]), int(n_i[k]), int(n_j[k])))
+    p = hypergeom_sf(T, [r[5] for r in rows], [r[6] for r in rows], [r[4] for r in rows])
+    threshold, reject = bh_fdr(p, p0, n_tests)
+    return threshold, len(rows), [r + (float(p[k]),) for k, r in enumerate(rows) if reject[k]]
+
+
+def _svn_inputs(sigma):
+    ind = {s: (sigma == s) for s in ACTIVE_STATES}
+    iu, ju = np.triu_indices(sigma.shape[0], k=1)
+    return ind, ind, iu, ju, sigma.shape[1], None
+
+
+def _random_svn():
+    # iid states, then 15 random pairs share a random 10-40 % of their slices
+    rng = np.random.default_rng(11)
+    sigma = rng.choice([-1, 0, 1, 2], size=(30, 120))
+    for _ in range(15):
+        i, j = rng.choice(30, size=2, replace=False)
+        copy = rng.random(120) < rng.uniform(0.1, 0.4)
+        sigma[j, copy] = sigma[i, copy]
+    return _svn_inputs(sigma)
+
+
+def _planted_svn():
+    rng = np.random.default_rng(12)
+    sigma = rng.choice([-1, 0, 1, 2], size=(30, 160))
+    for group in (range(0, 6), range(6, 14)):
+        leader = sigma[group[0]]
+        for r in group[1:]:
+            copy = rng.random(160) < 0.7
+            sigma[r, copy] = leader[copy]
+    return _svn_inputs(sigma)
+
+
+def _median_svn():
+    # one testable pair (+1, +1) with x = E[X] = 24*30/80 = 9 and p ~ 0.596:
+    # BH at p0 > p rejects it, so the median skip must be off there
+    sigma = np.zeros((2, 80), dtype=np.int8)
+    sigma[0, :24] = 1
+    sigma[1, 15:45] = 1
+    return _svn_inputs(sigma)
+
+
+def _one_slice_svn():
+    # two traders active once, in the same slice: x = 1 = ceil(E[X]), p = 1/80,
+    # so the median skip must stop at floor(E[X])
+    sigma = np.zeros((2, 80), dtype=np.int8)
+    sigma[:, 40] = -1
+    return _svn_inputs(sigma)
+
+
+def _planted_leadlag():
+    # the follower series of tests/test_leadlag.py, as build_leadlag tests it
+    rng = np.random.default_rng(2)
+    T = 420
+    lead = rng.choice([-1, 1, 2], size=T)
+    sigma = np.stack([lead, np.roll(lead, 1), rng.choice([-1, 1, 2], size=T)])
+    t_lead = _lag_pairs(build_grid("2024-01-01", "2024-06-01").window(0, T))
+    gi, gj = np.divmod(np.arange(9), 3)
+    return (
+        {s: (sigma[:, t_lead] == s) for s in ACTIVE_STATES},
+        {s: (sigma[:, t_lead + 1] == s) for s in ACTIVE_STATES},
+        gi, gj, len(t_lead), 9 * 3 * 3,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, p0",
+    [
+        (_random_svn, 0.05),
+        (_random_svn, 0.6),
+        (_planted_svn, 0.05),
+        (_planted_svn, 0.6),
+        (_median_svn, 0.6),
+        (_one_slice_svn, 0.05),
+        (_planted_leadlag, 0.05),
+        (_planted_leadlag, 0.6),
+    ],
+)
+def test_screened_tests_equal_full_reference(make, p0):
+    lead, lag, ii, jj, T, n_tests = make()
+    want = _full_tests(lead, lag, ii, jj, T, p0, n_tests)
+    got = _cooccurrence_tests(lead, lag, ii, jj, T, p0, n_tests)
+    assert want[2], "the case must reject something"
+    if make is _median_svn:
+        assert want[0] > 0.5
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] == want[2]  # every rejected tuple, p-values to the bit
+
+
+def test_fully_screened_window(monkeypatch):
+    scored = []
+    real_sf = svn.hypergeom_sf
+
+    def recording_sf(T, n_i, n_j, x):
+        scored.append(np.size(x))
+        return real_sf(T, n_i, n_j, x)
+
+    monkeypatch.setattr(svn, "hypergeom_sf", recording_sf)
+    rng = np.random.default_rng(1)
+    sigma = rng.choice([-1, 0, 1, 2], size=(4, 50)).astype(np.int8)
+    net = build_svn(_matrix_from_sigma(sigma))
+    assert sum(scored) == 0  # no test survives the screen
+    occ = {s: (sigma == s).sum(axis=1) for s in ACTIVE_STATES}
+    testable = sum(
+        int(occ[a][i] > 0 and occ[b][j] > 0) for a, b in STATE_PAIRS for i, j in itertools.combinations(range(4), 2)
+    )
+    assert (net.threshold, net.n_tests, net.edges, net.nodes) == (0.0, testable, [], [])
