@@ -1,7 +1,11 @@
 """Command-line pipeline: composable stages with file handoff.
 
 Subcommands: synth, ingest, svn, communities, leadlag, stability, forecast,
-evaluate, pipeline.  A single YAML config file (flat key-value) carries all
+evaluate, pipeline.  ``<stage>_stage(cfg, inputs, out)`` writes a stage's
+artifacts and returns what the next stage needs; ``cmd_<stage>`` reads its
+inputs from upstream artifacts, while ``pipeline`` chains the stage functions
+in memory: it writes the artifacts the stages would and reads none back but
+``forecasts_*.csv``.  A single YAML config file (flat key-value) carries all
 parameters; defaults follow the reference setup (1h slices, rho0=0.01,
 p0=0.05, top 500 traders, >=100 trades, windows 45..90 step 5, 09:00-16:00
 London session).
@@ -73,9 +77,14 @@ class RunConfig:
             raise SystemExit(f"config error: rho0 must lie in [0.01, 0.1], got {self.rho0}")
         if self.top_n < 1 or self.min_trades < 0:
             raise SystemExit("config error: top_n must be >= 1 and min_trades >= 0")
+        for key in ("lag_depth", "histogram_bin", "stability_window", "stability_step"):
+            if getattr(self, key) <= 0:
+                raise SystemExit(f"config error: {key} must be positive, got {getattr(self, key)}")
         try:
             FdrConfig(self.p0)
             self.schedule()
+            self.forest()
+            build_grid("2000-01-03", "2000-01-03", timedelta(minutes=self.slice_minutes))  # checks only: no days
         except ValueError as exc:
             raise SystemExit(f"config error: {exc}") from None
         return self
@@ -160,12 +169,8 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_ingest(args):
-    cfg = RunConfig.load(args.config)
-    trades, rejects = _load_trades(args.trades, cfg.instrument)
-    grid = _grid_from(cfg, trades)
-    matrix = classify_states(trades, grid, cfg.rho0)
-    out = Path(args.out)
+def ingest_stage(cfg: RunConfig, trades, rejects, out: Path):
+    matrix = classify_states(trades, _grid_from(cfg, trades), cfg.rho0)
     out.mkdir(parents=True, exist_ok=True)
     tfio.write_state_matrix(out, matrix)
     if rejects:
@@ -183,6 +188,12 @@ def cmd_ingest(args):
         summary["tail_fit_note"] = str(exc)
     (out / "ingest_summary.json").write_text(json.dumps(summary, indent=1))
     print(f"ingest: {matrix.n_traders} traders x {matrix.n_slices} slices -> {out}")
+    return matrix
+
+
+def cmd_ingest(args):
+    cfg = RunConfig.load(args.config)
+    ingest_stage(cfg, *_load_trades(args.trades, cfg.instrument), Path(args.out))
     return 0
 
 
@@ -192,57 +203,57 @@ def _require(path, stage):
     return path
 
 
-def cmd_svn(args):
-    cfg = RunConfig.load(args.config)
-    matrix = tfio.read_state_matrix(_require(args.states, "ingest"))
-    active = filter_active(matrix, cfg.top_n, cfg.min_trades)
-    net = build_svn(active, FdrConfig(cfg.p0))
-    out = Path(args.out)
+def svn_stage(cfg: RunConfig, matrix, out: Path) -> ValidatedNetwork:
+    net = build_svn(filter_active(matrix, cfg.top_n, cfg.min_trades), FdrConfig(cfg.p0))
     tfio.write_svn(out, net)
     print(f"svn: {len(net.edges)} validated edges over {len(net.nodes)} traders -> {out}")
+    return net
+
+
+def cmd_svn(args):
+    svn_stage(RunConfig.load(args.config), tfio.read_state_matrix(_require(args.states, "ingest")), Path(args.out))
     return 0
 
 
 def _read_svn_edges(path) -> ValidatedNetwork:
-    edges = []
+    """The network of ``svn_edges.csv``; the file stores no n_i, n_j, T or threshold, so they read 0."""
     with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        for r in rd:
-            edges.append(
-                LinkCandidate(
-                    i=r["i"], j=r["j"],
-                    state_i=int(r["state_i"]), state_j=int(r["state_j"]),
-                    co_count=int(r["co_count"]), n_i=0, n_j=0, T=0,
-                    p_value=float(r["p_value"]),
-                )
-            )
+        edges = [
+            LinkCandidate(i=r["i"], j=r["j"], state_i=int(r["state_i"]), state_j=int(r["state_j"]),
+                          co_count=int(r["co_count"]), n_i=0, n_j=0, T=0, p_value=float(r["p_value"]))
+            for r in csv.DictReader(fh)
+        ]
     nodes = sorted({e.i for e in edges} | {e.j for e in edges}, key=str)
     return ValidatedNetwork(nodes=nodes, edges=edges, threshold=0.0, n_tests=0, p0=0.0, T=0)
 
 
-def cmd_communities(args):
-    cfg = RunConfig.load(args.config)
-    net = _read_svn_edges(_require(args.edges, "svn"))
+def communities_stage(cfg: RunConfig, net: ValidatedNetwork, out: Path) -> dict:
     graph = project_weighted(net)
     partition = detect_communities(graph, seed=cfg.seed)
     meta = {"n_modules": len(set(partition.values())), "n_nodes": graph.n_nodes}
     if partition:
         meta["codelength_bits"] = map_equation_codelength(graph, partition)
-    tfio.write_partition(Path(args.out), partition, meta)
-    print(f"communities: {meta['n_modules']} groups over {graph.n_nodes} traders -> {args.out}")
+    tfio.write_partition(out, partition, meta)
+    print(f"communities: {meta['n_modules']} groups over {graph.n_nodes} traders -> {out}")
+    return partition
+
+
+def cmd_communities(args):
+    communities_stage(RunConfig.load(args.config), _read_svn_edges(_require(args.edges, "svn")), Path(args.out))
     return 0
+
+
+def leadlag_stage(cfg: RunConfig, matrix, partition: dict, out: Path):
+    matrix = matrix.select_traders([t for t in matrix.traders if t in partition])
+    net = build_leadlag(aggregate_groups(matrix, partition, cfg.rho0), FdrConfig(cfg.p0))
+    tfio.write_leadlag(out, net, expand_trader_leadlag(net, partition))
+    print(f"leadlag: {len(net.edges)} validated directed edges -> {out}")
 
 
 def cmd_leadlag(args):
     cfg = RunConfig.load(args.config)
     matrix = tfio.read_state_matrix(_require(args.states, "ingest"))
-    partition = tfio.read_partition(_require(args.partition, "communities"))
-    matrix = matrix.select_traders([t for t in matrix.traders if t in partition])
-    series = aggregate_groups(matrix, partition, cfg.rho0)
-    net = build_leadlag(series, FdrConfig(cfg.p0))
-    lam = expand_trader_leadlag(net, partition)
-    tfio.write_leadlag(Path(args.out), net, lam)
-    print(f"leadlag: {len(net.edges)} validated directed edges -> {args.out}")
+    leadlag_stage(cfg, matrix, tfio.read_partition(_require(args.partition, "communities")), Path(args.out))
     return 0
 
 
@@ -292,31 +303,24 @@ def cmd_stability(args):
     return 0
 
 
-def cmd_forecast(args):
-    cfg = RunConfig.load(args.config)
-    matrix = tfio.read_state_matrix(_require(args.states, "ingest"))
-    trades = None
-    if args.trades:
-        trades, _ = _load_trades(args.trades, cfg.instrument)
-    out = Path(args.out)
+def forecast_stage(cfg: RunConfig, matrix, trades, out: Path):
+    """Flow forecasts, plus VWAP forecasts when ``trades`` is not None."""
     out.mkdir(parents=True, exist_ok=True)
     targets = ["flow"] + (["vwap"] if trades is not None else [])
     for kind in targets:
         records, skipped = rolling_forecast(
-            matrix,
-            cfg.schedule(),
-            target_kind=kind,
-            seed=cfg.seed,
-            trades=trades,
-            rho0=cfg.rho0,
-            p0=cfg.p0,
-            top_n=cfg.top_n,
-            min_trades=cfg.min_trades,
-            lag_depth=cfg.lag_depth,
-            forest_config=cfg.forest(),
+            matrix, cfg.schedule(), target_kind=kind, seed=cfg.seed, trades=trades, rho0=cfg.rho0, p0=cfg.p0,
+            top_n=cfg.top_n, min_trades=cfg.min_trades, lag_depth=cfg.lag_depth, forest_config=cfg.forest(),
         )
         tfio.write_forecasts(out / f"forecasts_{kind}.csv", records)
         print(f"forecast[{kind}]: {len(records)} slices, {len(skipped)} days without history -> {out}")
+
+
+def cmd_forecast(args):
+    cfg = RunConfig.load(args.config)
+    matrix = tfio.read_state_matrix(_require(args.states, "ingest"))
+    trades = _load_trades(args.trades, cfg.instrument)[0] if args.trades else None
+    forecast_stage(cfg, matrix, trades, Path(args.out))
     return 0
 
 
@@ -365,13 +369,11 @@ def _evaluate_records(records, cfg: RunConfig, target: str, seed: int):
     return report, series
 
 
-def cmd_evaluate(args):
-    cfg = RunConfig.load(args.config)
-    out = Path(args.out)
+def evaluate_stage(cfg: RunConfig, forecasts, out: Path):
     out.mkdir(parents=True, exist_ok=True)
     report = {}
     for kind in ("flow", "vwap"):
-        path = Path(args.forecasts) / f"forecasts_{kind}.csv"
+        path = Path(forecasts) / f"forecasts_{kind}.csv"
         if not path.exists():
             continue
         records = tfio.read_forecasts(path)
@@ -388,25 +390,29 @@ def cmd_evaluate(args):
             rows,
         )
     if not report:
-        raise SystemExit(f"missing upstream artifact {args.forecasts}/forecasts_flow.csv: run the 'forecast' stage first")
+        raise SystemExit(f"missing upstream artifact {forecasts}/forecasts_flow.csv: run the 'forecast' stage first")
     (out / "report.json").write_text(json.dumps(report, indent=1))
     print(f"evaluate: report for {sorted(report)} -> {out}")
+
+
+def cmd_evaluate(args):
+    evaluate_stage(RunConfig.load(args.config), args.forecasts, Path(args.out))
     return 0
 
 
+def _trades_to_forecasts(cfg: RunConfig, trades_path, out: Path):
+    """Ingest through forecast in memory; the trades and the matrix are freed on return, before evaluate."""
+    trades, rejects = _load_trades(trades_path, cfg.instrument)
+    matrix = ingest_stage(cfg, trades, rejects, out)
+    partition = communities_stage(cfg, svn_stage(cfg, matrix, out), out)
+    leadlag_stage(cfg, matrix, partition, out)
+    forecast_stage(cfg, matrix, trades, out)
+
+
 def cmd_pipeline(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = RunConfig.load(args.config)
-    ns = argparse.Namespace(config=args.config, trades=args.trades, out=str(out))
-    cmd_ingest(ns)
-    cmd_svn(argparse.Namespace(config=args.config, states=str(out), out=str(out)))
-    cmd_communities(argparse.Namespace(config=args.config, edges=str(out / "svn_edges.csv"), out=str(out)))
-    cmd_leadlag(
-        argparse.Namespace(config=args.config, states=str(out), partition=str(out / "partition.csv"), out=str(out))
-    )
-    cmd_forecast(argparse.Namespace(config=args.config, states=str(out), trades=args.trades, out=str(out)))
-    cmd_evaluate(argparse.Namespace(config=args.config, forecasts=str(out), out=str(out)))
+    cfg, out = RunConfig.load(args.config), Path(args.out)
+    _trades_to_forecasts(cfg, args.trades, out)
+    evaluate_stage(cfg, out, out)
     outputs = sorted(p for p in out.iterdir() if p.is_file() and p.name != "manifest.json")
     manifest = {
         "trades": str(args.trades),

@@ -198,6 +198,8 @@ def build_grid(
     Dates are calendar dates in the session time zone; a slice is kept only
     if it lies wholly inside the session on an included day.
     """
+    if slice_duration <= timedelta(0):
+        raise ValueError(f"slice duration must be positive, got {slice_duration}")
     zone = ZoneInfo(tz)
     if isinstance(start_date, str):
         start_date = datetime.fromisoformat(start_date).date()

@@ -19,6 +19,10 @@ class ForestConfig:
     mtry: int | None = None  # candidate features per split; default ceil(sqrt(K))
     min_node_size: int = 5
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+
 
 @dataclass
 class ForestModel:

@@ -134,7 +134,6 @@ class _Calibration:
     partition: dict | None
     trader_ids: list
     model: object | None
-    n_groups: int
 
 
 def _structure(window: StateMatrix, top_n: int, min_trades: int, p0: float, seed: int):
@@ -156,7 +155,7 @@ def _calibrate(matrix, t0, t1, target, cfg, rng_seed):
     window = matrix.slice_window(t0, t1)
     grouped, partition = _structure(window, cfg["top_n"], cfg["min_trades"], cfg["p0"], rng_seed)
     if not partition:
-        return _Calibration(None, [], None, 0)
+        return _Calibration(None, [], None)
     series = aggregate_groups(grouped, partition, cfg["rho0"])
     X, rows = build_predictors(series.sigma, window.grid, cfg["lag_depth"])
     target_window = target[t0:t1]
@@ -167,9 +166,8 @@ def _calibrate(matrix, t0, t1, target, cfg, rng_seed):
     finite = ~np.isnan(np.asarray(y, dtype=np.float64))
     X, y = X[finite], np.asarray(y)[finite].astype(np.int64)
     if len(X) < 50:
-        return _Calibration(partition, list(grouped.traders), None, series.n_groups)
-    model = train_forest(X, y, cfg["forest"], seed=rng_seed)
-    return _Calibration(partition, list(grouped.traders), model, series.n_groups)
+        return _Calibration(partition, list(grouped.traders), None)
+    return _Calibration(partition, list(grouped.traders), train_forest(X, y, cfg["forest"], seed=rng_seed))
 
 
 def rolling_forecast(
@@ -253,7 +251,7 @@ def rolling_forecast(
                     combined=combined,
                     realized_sign=int(flow_signs[t]),
                     realized_flow=float(total_flow[t]),
-                    realized_vwap_sign=None if (v_sign is None or np.isnan(v_sign)) else int(v_sign),
+                    realized_vwap_sign=None if np.isnan(v_sign) else int(v_sign),
                 )
             )
     return records, skipped

@@ -1,8 +1,15 @@
+import argparse
 import json
+import shlex
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
+from tradeflow import cli
+from tradeflow import io as tfio
 from tradeflow.cli import RunConfig, main
 
 SMALL_CONFIG = {
@@ -52,7 +59,14 @@ def test_config_defaults_and_validation(tmp_path):
     with pytest.raises(SystemExit, match="unknown keys"):
         RunConfig.load(str(bad))
     # values the library would reject mid-pipeline fail at load time
-    for text in ("recalibrate_every: 0\n", "p0: 1.5\n", "window_lengths: [50, 45]\n"):
+    # and so do values that would hang a run (slice_minutes, stability_step),
+    # corrupt it silently (stability_window, n_trees) or crash it (lag_depth,
+    # histogram_bin)
+    for text in (
+        "recalibrate_every: 0\n", "p0: 1.5\n", "window_lengths: [50, 45]\n",
+        "slice_minutes: 0\n", "slice_minutes: -30\n", "stability_step: 0\n", "stability_window: 0\n",
+        "n_trees: 0\n", "lag_depth: 0\n", "histogram_bin: 0\n",
+    ):
         bad.write_text(text)
         with pytest.raises(SystemExit, match="config error"):
             RunConfig.load(str(bad))
@@ -124,3 +138,61 @@ def test_synth_ground_truth_written(pipeline_run):
     truth = json.loads((market / "ground_truth.json").read_text())
     assert set(truth) == {"partition", "leadlag_edges", "intended_states"}
     assert sorted(set(truth["partition"].values())) == [1, 2, 3]
+
+
+def test_pipeline_equals_the_stages(pipeline_run, cfg_path, tmp_path):
+    market, out = pipeline_run
+    trades, staged = str(market / "trades.csv"), str(tmp_path)
+    for argv in (
+        ["ingest", "--trades", trades],
+        ["svn", "--states", staged],
+        ["communities", "--edges", str(tmp_path / "svn_edges.csv")],
+        ["leadlag", "--states", staged, "--partition", str(tmp_path / "partition.csv")],
+        ["forecast", "--states", staged, "--trades", trades],
+        ["evaluate", "--forecasts", staged],
+    ):
+        assert main([*argv, "--config", cfg_path, "--out", staged]) == 0
+    names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in tmp_path.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_pipeline_parses_once_and_reads_nothing_back(pipeline_run, cfg_path, tmp_path, monkeypatch):
+    market, _ = pipeline_run
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_trades", counted("parse_trades", cli.parse_trades))
+    monkeypatch.setattr(cli, "_read_svn_edges", counted("_read_svn_edges", cli._read_svn_edges))
+    monkeypatch.setattr(tfio, "read_state_matrix", counted("read_state_matrix", tfio.read_state_matrix))
+    monkeypatch.setattr(tfio, "read_partition", counted("read_partition", tfio.read_partition))
+    monkeypatch.setattr(RunConfig, "load", classmethod(counted("RunConfig.load", RunConfig.load.__func__)))
+    monkeypatch.setattr(argparse, "Namespace", counted("Namespace", argparse.Namespace))
+    args = SimpleNamespace(config=cfg_path, trades=str(market / "trades.csv"), out=str(tmp_path))
+    assert cli.cmd_pipeline(args) == 0
+    assert calls == {"parse_trades": 1, "RunConfig.load": 1}
+
+
+def test_readme_cli_lines_dispatch(monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0].strip() for ln in block.splitlines() if ln.startswith("tradeflow ")]
+    assert len(lines) >= 9
+    dispatched = []
+    for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args, name=name: dispatched.append(name) or 0)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        dispatched.clear()
+        try:
+            assert main(argv) == 0
+        except SystemExit as exc:
+            pytest.fail(f"argparse refused README line {line!r}: exit {exc.code}")
+        assert dispatched == [f"cmd_{argv[0]}"], line

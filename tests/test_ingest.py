@@ -86,6 +86,13 @@ def test_grid_weekends_excluded_by_default():
     assert len(grid) == 14
 
 
+@pytest.mark.parametrize("minutes", [0, -60])
+def test_grid_refuses_non_positive_slice_duration(minutes):
+    # such a slice never advances the session cursor
+    with pytest.raises(ValueError, match="slice duration must be positive"):
+        build_grid("2024-01-01", "2024-01-02", slice_duration=timedelta(minutes=minutes))
+
+
 def test_grid_crosses_dst_change():
     # London switches to BST on 2024-03-31 (a Sunday)
     grid = build_grid("2024-03-29", "2024-04-02")

@@ -51,6 +51,14 @@ def test_forest_requires_enough_rows():
         train_forest(np.zeros((10, 3)), np.zeros(10))
 
 
+def test_forest_config_refuses_empty_forest():
+    # no tree means NaN votes and a silent abstention on every row
+    for n_trees in (0, -1):
+        with pytest.raises(ValueError, match="n_trees"):
+            ForestConfig(n_trees=n_trees)
+    assert ForestConfig(n_trees=1).n_trees == 1
+
+
 def test_forest_single_class_degenerates_gracefully():
     X = np.random.default_rng(0).choice([-1, 1], size=(60, 3))
     model = train_forest(X, np.ones(60), ForestConfig(n_trees=5))
