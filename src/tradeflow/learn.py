@@ -4,11 +4,33 @@ A plain random forest with multiway categorical splits, out-of-bag error and
 Breiman-Cutler permutation importance, plus an L2-regularized logistic
 baseline fitted by iteratively reweighted least squares.  Everything is
 bitwise deterministic for fixed seeds.
+
+A forest's trees live in one set of flat per-node arrays (`Trees`): tree t
+owns the nodes ``start[t]:start[t + 1]`` in preorder, root first.  Each node
+stores its split column (-1 at a leaf), its majority class, its bootstrap
+class counts and where its row of the child table starts; that row has one
+entry per encoded level of the split column plus the unseen-level sentinel
+and holds the child node, or -1 where the node has no child for the level.
+
+All trees of a forest grow together.  Tree t draws its bootstrap and its
+split candidates from its own ``default_rng([seed, t])``, so only the order
+of draws within a tree matters: each tree keeps a depth-first stack and every
+step pops the next node of every unfinished tree, which visits each tree in
+the preorder of a recursive grower and makes the same draws.  One
+``bincount`` over (node, candidate, level, class) then scores every candidate
+of every node of the step, and one stable sort splits the chosen nodes' rows
+into their children's contiguous segments.  The weighted Gini sums each
+candidate's occupied levels as one compact row, candidates grouped by how
+many levels they occupy, which adds in the order numpy uses for the same
+levels alone; padding the empty levels with 0.0 would not, because numpy
+sums a row of eight or more entries pairwise.  Prediction, out-of-bag votes
+and permutation importance share one traversal that moves every (row, tree)
+query down one level per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +44,25 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.mtry is not None and self.mtry < 1:
+            raise ValueError(f"mtry must be >= 1 or None, got {self.mtry}")
+        if self.min_node_size < 1:
+            raise ValueError(f"min_node_size must be >= 1, got {self.min_node_size}")
+
+
+@dataclass(frozen=True)
+class Trees:
+    """Every tree of a forest as flat per-node arrays (see the module docstring)."""
+
+    start: np.ndarray  # (n_trees + 1,) first node of each tree; the last entry is the node count
+    feature: np.ndarray  # split column, -1 at a leaf
+    majority: np.ndarray  # class index; argmax ties resolve to the smallest
+    counts: np.ndarray  # (nodes, classes) bootstrap class counts
+    child_start: np.ndarray  # where the node's row of `child` starts
+    child: np.ndarray  # child node per encoded level of the split column, -1 if none
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
 
 
 @dataclass
@@ -30,7 +71,7 @@ class ForestModel:
     seed: int
     classes: np.ndarray  # sorted ascending; argmax ties resolve to smallest
     levels: list  # per-column sorted level values
-    trees: list
+    trees: Trees
     oob_indices: list
     degenerate: bool = False
     n_rows: int = 0
@@ -53,63 +94,137 @@ def _encode(X, levels=None):
     return enc, levels
 
 
-def _gini_split(xcol, ycls, n_levels, n_classes):
-    """Weighted Gini impurity of splitting a node by one categorical column."""
-    counts = np.bincount(xcol * n_classes + ycls, minlength=n_levels * n_classes)
-    counts = counts.reshape(n_levels, n_classes).astype(np.float64)
-    nv = counts.sum(axis=1)
-    occupied = nv > 0
-    if occupied.sum() < 2:
-        return None
-    n = nv.sum()
-    within = (counts[occupied] ** 2).sum(axis=1) / nv[occupied]
-    return 1.0 - within.sum() / n
+def _segments(starts, sizes):
+    """Positions of the concatenated ranges [starts[i], starts[i] + sizes[i])."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
 
 
-def _grow(Xenc, ycls, idx, rng, cfg, n_levels, n_classes):
-    counts = np.bincount(ycls[idx], minlength=n_classes)
-    majority = int(np.argmax(counts))
-    node = {"counts": counts, "majority": majority}
-    if len(idx) < cfg.min_node_size or counts.max() == len(idx):
-        return node
-    K = Xenc.shape[1]
-    mtry = cfg.mtry or int(np.ceil(np.sqrt(K)))
-    cand = np.sort(rng.choice(K, size=min(mtry, K), replace=False))
-    parent_imp = 1.0 - ((counts / len(idx)) ** 2).sum()
-    best_imp, best_f = None, None
-    for f in cand:
-        imp = _gini_split(Xenc[idx, f], ycls[idx], n_levels[f] + 1, n_classes)
-        if imp is not None and (best_imp is None or imp < best_imp):
-            best_imp, best_f = imp, f
-    if best_f is None or best_imp >= parent_imp - 1e-12:
-        return node
-    node["feature"] = int(best_f)
-    node["children"] = {}
-    col = Xenc[idx, best_f]
-    for v in np.unique(col):
-        node["children"][int(v)] = _grow(Xenc, ycls, idx[col == v], rng, cfg, n_levels, n_classes)
+def _split_impurities(table, n_occupied, node_size):
+    """Weighted Gini impurity of each candidate split.
+
+    ``table`` holds the (level, class) counts of every candidate's occupied
+    levels, candidate after candidate, levels ascending; ``n_occupied`` says
+    how many rows of it each candidate owns.  A candidate with fewer than two
+    occupied levels cannot split and scores +inf.
+    """
+    level_size = table.sum(axis=1)
+    within = (table**2).sum(axis=1) / level_size
+    row_m = np.repeat(n_occupied, n_occupied)
+    imp = np.full(len(n_occupied), np.inf)
+    for m in np.unique(n_occupied[n_occupied >= 2]):
+        # a compact row of m entries sums in numpy's own order for m entries
+        imp[n_occupied == m] = 1.0 - within[row_m == m].reshape(-1, m).sum(axis=1) / node_size[n_occupied == m]
+    return imp
+
+
+def _grow_forest(Xenc, ycls, boots, rngs, mtry, min_node_size, n_levels, n_classes) -> Trees:
+    """Grow one tree per (bootstrap, generator) pair, all trees in lockstep."""
+    T, n, K, C = len(boots), len(Xenc), Xenc.shape[1], n_classes
+    # tree t's rows sit at t*n:(t+1)*n; every node owns a contiguous segment of them
+    rows = np.concatenate([np.empty(0, np.int64), *boots])
+    # one depth-first stack per tree; an entry is a node not yet visited:
+    # (segment start, size, parent's preorder index, level, class counts...)
+    stack = np.zeros((T, 8, 4 + C), dtype=np.int64)
+    stack[:, 0, 0] = np.arange(T) * n
+    stack[:, 0, 1] = n
+    stack[:, 0, 2] = -1
+    stack[:, 0, 4:] = np.bincount(np.repeat(np.arange(T), n) * C + ycls[rows], minlength=T * C).reshape(T, C)
+    depth = np.ones(T, dtype=np.int64)
+    visited = np.zeros(T, dtype=np.int64)
+    # one record per visited node: (tree, preorder index, parent, level, feature, counts...)
+    records = [np.empty((0, 5 + C), dtype=np.int64)]
+    m = min(mtry, K)
+    tree = np.arange(T)
+    while tree.size:
+        depth[tree] -= 1
+        node = stack[tree, depth[tree]]
+        start, size, counts = node[:, 0], node[:, 1], node[:, 4:]
+        feature = np.full(len(tree), -1)
+        grow = np.flatnonzero((size >= min_node_size) & (counts.max(axis=1) < size))
+        if grow.size:
+            g = len(grow)
+            cand = np.sort([rngs[t].choice(K, size=m, replace=False) for t in tree[grow].tolist()], axis=1)
+            slot = np.repeat(np.arange(g), size[grow])
+            pos = _segments(start[grow], size[grow])
+            r = rows[pos]
+            level = Xenc[r[:, None], cand[slot]]
+            # one count table over (node, candidate, level, class); candidate j of
+            # node i owns the n_levels[cand[i, j]] levels after offset[i, j]
+            width = n_levels[cand].ravel()
+            offset = (np.cumsum(width) - width).reshape(g, m)
+            key = (offset[slot] + level) * C + ycls[r][:, None]
+            table = np.bincount(key.ravel(), minlength=width.sum() * C).reshape(-1, C)
+            occupied = np.flatnonzero(table.sum(axis=1))
+            pair = np.repeat(np.arange(g * m), width)[occupied]
+            n_occupied = np.bincount(pair, minlength=g * m)
+            imp = _split_impurities(table[occupied], n_occupied, np.repeat(size[grow], m)).reshape(g, m)
+            parent_imp = 1.0 - ((counts[grow] / size[grow, None]) ** 2).sum(axis=1)
+            best = imp.argmin(axis=1)
+            split = np.flatnonzero(imp[np.arange(g), best] < parent_imp - 1e-12)
+            feature[grow[split]] = cand[split, best[split]]
+            if split.size:
+                # children: the occupied levels of each chosen candidate, ascending
+                chosen_pair = split * m + best[split]
+                n_kids = n_occupied[chosen_pair]
+                chosen = np.zeros(g * m, dtype=bool)
+                chosen[chosen_pair] = True
+                kids = occupied[chosen[pair]]
+                kid_size = table[kids].sum(axis=1)
+                first = np.cumsum(n_kids) - n_kids
+                before = np.cumsum(kid_size) - kid_size
+                kid_start = np.repeat(start[grow][split] - before[first], n_kids) + before
+                kid_level = kids - np.repeat(offset.ravel()[chosen_pair], n_kids)
+                # sort each segment by the best candidate's level: a split node's
+                # children get contiguous segments; a node that stays a leaf
+                # is never read again
+                rows[pos] = r[np.lexsort((level[np.arange(len(r)), best[slot]], slot))]
+                # push each node's children so that the smallest level pops first
+                owner = tree[grow][split]
+                need = depth[owner] + n_kids
+                while need.max() > stack.shape[1]:
+                    stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+                rank = np.arange(len(kids)) - np.repeat(first, n_kids)
+                at = np.repeat(need, n_kids) - 1 - rank
+                kid_tree = np.repeat(owner, n_kids)
+                stack[kid_tree, at, 0] = kid_start
+                stack[kid_tree, at, 1] = kid_size
+                stack[kid_tree, at, 2] = np.repeat(visited[owner], n_kids)
+                stack[kid_tree, at, 3] = kid_level
+                stack[kid_tree, at, 4:] = table[kids]
+                depth[owner] = need
+        records.append(np.column_stack([tree, visited[tree], node[:, 2], node[:, 3], feature, counts]))
+        visited[tree] += 1
+        tree = np.flatnonzero(depth)
+    return _assemble(np.concatenate(records), T, n_levels)
+
+
+def _assemble(records, n_trees, n_levels) -> Trees:
+    """Lay the grower's node records out as `Trees`: tree by tree, each in preorder."""
+    records = records[np.lexsort((records[:, 1], records[:, 0]))]
+    tree, _, parent, level, feature = records[:, :5].T
+    counts = records[:, 5:]
+    start = np.searchsorted(tree, np.arange(n_trees + 1))
+    width = np.where(feature >= 0, n_levels[feature] + 1, 0)  # + 1: the unseen-level sentinel
+    child_start = np.cumsum(width) - width
+    child = np.full(width.sum(), -1)
+    kid = np.flatnonzero(parent >= 0)
+    child[child_start[start[tree[kid]] + parent[kid]] + level[kid]] = kid
+    return Trees(start, feature, counts.argmax(axis=1), counts, child_start, child)
+
+
+def _leaves(trees: Trees, Xenc, rows, tree_ids) -> np.ndarray:
+    """Node where each query (row of Xenc, tree) stops: a leaf, or the node
+    whose split column has a level the node never saw in training."""
+    node = trees.start[tree_ids]
+    live = np.arange(len(node))
+    while live.size:
+        f = trees.feature[node[live]]
+        live, f = live[f >= 0], f[f >= 0]
+        nxt = trees.child[trees.child_start[node[live]] + Xenc[rows[live], f]]
+        live, nxt = live[nxt >= 0], nxt[nxt >= 0]
+        node[live] = nxt
     return node
-
-
-def _tree_apply(node, Xenc, idx, out):
-    if "feature" not in node:
-        out[idx] = node["majority"]
-        return
-    col = Xenc[idx, node["feature"]]
-    matched = np.zeros(len(idx), dtype=bool)
-    for v, child in node["children"].items():
-        sel = col == v
-        if sel.any():
-            _tree_apply(child, Xenc, idx[sel], out)
-            matched |= sel
-    if not matched.all():
-        out[idx[~matched]] = node["majority"]  # unseen branch: node majority
-
-
-def _tree_predict(tree, Xenc):
-    out = np.empty(len(Xenc), dtype=np.int64)
-    _tree_apply(tree, Xenc, np.arange(len(Xenc)), out)
-    return out
 
 
 def train_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> ForestModel:
@@ -117,37 +232,38 @@ def train_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> 
 
     Trees bootstrap rows with replacement; each tree is reproducible from
     (seed, tree index).  A single-class target yields a degenerate model
-    that always predicts that class (flagged, not fatal).
+    with no trees that always predicts that class (flagged, not fatal).
     """
     X = np.asarray(X)
     y = np.asarray(y)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError(f"X must be 2-D with at least one column, got shape {X.shape}")
+    if len(y) != len(X):
+        raise ValueError(f"X has {len(X)} rows but y has {len(y)} labels")
     if len(X) < 50:
         raise ValueError(f"need at least 50 rows, got {len(X)}")
     classes = np.unique(y)
     Xenc, levels = _encode(X)
-    model = ForestModel(
+    n = len(X)
+    degenerate = len(classes) == 1
+    rngs = [np.random.default_rng([seed, t]) for t in range(0 if degenerate else config.n_trees)]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
+    K = X.shape[1]
+    mtry = config.mtry if config.mtry is not None else int(np.ceil(np.sqrt(K)))
+    n_levels = np.array([len(lv) for lv in levels])
+    trees = _grow_forest(
+        Xenc, np.searchsorted(classes, y), boots, rngs, mtry, config.min_node_size, n_levels, len(classes)
+    )
+    return ForestModel(
         config=config,
         seed=seed,
         classes=classes,
         levels=levels,
-        trees=[],
-        oob_indices=[],
-        degenerate=len(classes) == 1,
-        n_rows=len(X),
+        trees=trees,
+        oob_indices=[np.flatnonzero(np.bincount(boot, minlength=n) == 0) for boot in boots],
+        degenerate=degenerate,
+        n_rows=n,
     )
-    if model.degenerate:
-        return model
-    ycls = np.searchsorted(classes, y)
-    n = len(X)
-    n_levels = np.array([len(lv) for lv in levels])
-    for t in range(config.n_trees):
-        rng = np.random.default_rng([seed, t])
-        boot = rng.integers(0, n, size=n)
-        oob = np.setdiff1d(np.arange(n), boot)
-        tree = _grow(Xenc, ycls, boot, rng, config, n_levels, len(classes))
-        model.trees.append(tree)
-        model.oob_indices.append(oob)
-    return model
 
 
 def forest_votes(model: ForestModel, X) -> np.ndarray:
@@ -160,11 +276,10 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
         votes[:, 0] = 1.0
         return votes
     Xenc, _ = _encode(X, model.levels)
-    votes = np.zeros((len(X), len(model.classes)))
-    for tree in model.trees:
-        pred = _tree_predict(tree, Xenc)
-        votes[np.arange(len(X)), pred] += 1
-    return votes / len(model.trees)
+    T, C = len(model.trees), len(model.classes)
+    rows = np.repeat(np.arange(len(X)), T)
+    pred = model.trees.majority[_leaves(model.trees, Xenc, rows, np.tile(np.arange(T), len(X)))]
+    return np.bincount(rows * C + pred, minlength=len(X) * C).reshape(len(X), C) / T
 
 
 def forest_predict(model: ForestModel, row):
@@ -182,25 +297,36 @@ def forest_predict_batch(model: ForestModel, X) -> np.ndarray:
     return model.classes[np.argmax(votes, axis=1)]
 
 
+def _oob_votes(model: ForestModel, X) -> np.ndarray:
+    """Per training row, the class votes of the trees that left it out of bag."""
+    Xenc, _ = _encode(np.asarray(X), model.levels)
+    C = len(model.classes)
+    rows = np.concatenate(model.oob_indices)
+    tree_ids = np.repeat(np.arange(len(model.trees)), [len(oob) for oob in model.oob_indices])
+    pred = model.trees.majority[_leaves(model.trees, Xenc, rows, tree_ids)]
+    return np.bincount(rows * C + pred, minlength=len(Xenc) * C).reshape(len(Xenc), C)
+
+
 def oob_predictions(model: ForestModel, X) -> np.ndarray:
-    """Ensemble OOB class per training row (-inf rows never OOB keep majority)."""
-    X = np.asarray(X)
+    """Ensemble OOB class per training row: the plurality of the trees that
+    left it out of bag.  A row that every bootstrap drew has no vote and gets
+    ``classes[0]``; `oob_accuracy` leaves such rows out."""
     if model.degenerate:
         return np.full(len(X), model.classes[0])
-    Xenc, _ = _encode(X, model.levels)
-    votes = np.zeros((len(X), len(model.classes)))
-    for tree, oob in zip(model.trees, model.oob_indices):
-        if len(oob) == 0:
-            continue
-        pred = _tree_predict(tree, Xenc[oob])
-        votes[oob, pred] += 1
-    return model.classes[np.argmax(votes, axis=1)]
+    return model.classes[np.argmax(_oob_votes(model, X), axis=1)]
 
 
 def oob_accuracy(model: ForestModel, X, y) -> float:
+    """Share of rows whose OOB class is right, over the rows with at least one
+    OOB vote (Breiman 2001); a degenerate model scores its class on every row."""
+    y = np.asarray(y)
     if model.degenerate:
-        return float(np.mean(np.asarray(y) == model.classes[0]))
-    return float(np.mean(oob_predictions(model, X) == np.asarray(y)))
+        return float(np.mean(y == model.classes[0]))
+    votes = _oob_votes(model, X)
+    seen = votes.sum(axis=1) > 0
+    if not seen.any():
+        raise ValueError("no row was ever out of bag")
+    return float(np.mean(model.classes[np.argmax(votes[seen], axis=1)] == y[seen]))
 
 
 @dataclass
@@ -228,19 +354,21 @@ def permutation_importance(model: ForestModel, X, y, seed: int = 0) -> Importanc
     ycls = np.searchsorted(model.classes, y)
     deltas = np.zeros(K)
     used = 0
-    for t, (tree, oob) in enumerate(zip(model.trees, model.oob_indices)):
+    for t, oob in enumerate(model.oob_indices):
         if len(oob) == 0:
             continue
         used += 1
-        sub = Xenc[oob]
-        base_err = np.mean(_tree_predict(tree, sub) != ycls[oob])
         rng = np.random.default_rng([seed, t])
-        for c in range(K):
-            perm = rng.permutation(len(oob))
-            shuffled = sub.copy()
-            shuffled[:, c] = sub[perm, c]
-            err = np.mean(_tree_predict(tree, shuffled) != ycls[oob])
-            deltas[c] += err - base_err
+        perm = np.array([rng.permutation(len(oob)) for _ in range(K)])
+        # query block 0 is the tree's OOB rows; block c + 1 has column c permuted
+        sub = Xenc[oob]
+        col = np.arange(K)[:, None]
+        queries = np.tile(sub, (K + 1, 1, 1))
+        queries[1 + col, np.arange(len(oob)), col] = sub[perm, col]
+        queries = queries.reshape(-1, K)
+        pred = model.trees.majority[_leaves(model.trees, queries, np.arange(len(queries)), np.full(len(queries), t))]
+        err = (pred.reshape(K + 1, -1) != ycls[oob]).sum(axis=1) / len(oob)
+        deltas += err[1:] - err[0]
     importance = deltas / max(used, 1)
     order = np.lexsort((np.arange(K), -importance))
     ranks = np.empty(K, dtype=np.int64)

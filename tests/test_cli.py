@@ -60,12 +60,12 @@ def test_config_defaults_and_validation(tmp_path):
         RunConfig.load(str(bad))
     # values the library would reject mid-pipeline fail at load time
     # and so do values that would hang a run (slice_minutes, stability_step),
-    # corrupt it silently (stability_window, n_trees) or crash it (lag_depth,
+    # corrupt it silently (stability_window, n_trees, min_node_size) or crash it (lag_depth,
     # histogram_bin)
     for text in (
         "recalibrate_every: 0\n", "p0: 1.5\n", "window_lengths: [50, 45]\n",
         "slice_minutes: 0\n", "slice_minutes: -30\n", "stability_step: 0\n", "stability_window: 0\n",
-        "n_trees: 0\n", "lag_depth: 0\n", "histogram_bin: 0\n",
+        "n_trees: 0\n", "min_node_size: 0\n", "lag_depth: 0\n", "histogram_bin: 0\n",
     ):
         bad.write_text(text)
         with pytest.raises(SystemExit, match="config error"):

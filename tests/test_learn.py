@@ -3,16 +3,175 @@ import pytest
 
 from tradeflow.learn import (
     ForestConfig,
+    _encode,
+    _grow_forest,
+    _split_impurities,
     adjusted_rank_ratio,
     forest_predict,
     forest_predict_batch,
     forest_votes,
     logistic_predict,
     oob_accuracy,
+    oob_predictions,
     permutation_importance,
     train_forest,
     train_logistic,
 )
+
+# The recursive grower and per-tree traversal that the lockstep forest
+# replaced, kept as the reference: trees are nested dicts grown depth-first,
+# one node per call, from the same per-tree generators.
+
+
+def _gini_split(xcol, ycls, n_levels, n_classes):
+    """Weighted Gini impurity of splitting a node by one categorical column."""
+    counts = np.bincount(xcol * n_classes + ycls, minlength=n_levels * n_classes)
+    counts = counts.reshape(n_levels, n_classes).astype(np.float64)
+    nv = counts.sum(axis=1)
+    occupied = nv > 0
+    if occupied.sum() < 2:
+        return None
+    n = nv.sum()
+    within = (counts[occupied] ** 2).sum(axis=1) / nv[occupied]
+    return 1.0 - within.sum() / n
+
+
+def _grow(Xenc, ycls, idx, rng, cfg, n_levels, n_classes):
+    counts = np.bincount(ycls[idx], minlength=n_classes)
+    majority = int(np.argmax(counts))
+    node = {"counts": counts, "majority": majority}
+    if len(idx) < cfg.min_node_size or counts.max() == len(idx):
+        return node
+    K = Xenc.shape[1]
+    mtry = cfg.mtry or int(np.ceil(np.sqrt(K)))
+    cand = np.sort(rng.choice(K, size=min(mtry, K), replace=False))
+    parent_imp = 1.0 - ((counts / len(idx)) ** 2).sum()
+    best_imp, best_f = None, None
+    for f in cand:
+        imp = _gini_split(Xenc[idx, f], ycls[idx], n_levels[f] + 1, n_classes)
+        if imp is not None and (best_imp is None or imp < best_imp):
+            best_imp, best_f = imp, f
+    if best_f is None or best_imp >= parent_imp - 1e-12:
+        return node
+    node["feature"] = int(best_f)
+    node["children"] = {}
+    col = Xenc[idx, best_f]
+    for v in np.unique(col):
+        node["children"][int(v)] = _grow(Xenc, ycls, idx[col == v], rng, cfg, n_levels, n_classes)
+    return node
+
+
+def _tree_predict(tree, Xenc):
+    def apply(node, idx):
+        if "feature" not in node:
+            out[idx] = node["majority"]
+            return
+        col = Xenc[idx, node["feature"]]
+        matched = np.zeros(len(idx), dtype=bool)
+        for v, child in node["children"].items():
+            sel = col == v
+            if sel.any():
+                apply(child, idx[sel])
+                matched |= sel
+        if not matched.all():
+            out[idx[~matched]] = node["majority"]  # unseen branch: node majority
+
+    out = np.empty(len(Xenc), dtype=np.int64)
+    apply(tree, np.arange(len(Xenc)))
+    return out
+
+
+def _reference_forest(X, y, config, seed):
+    """(trees, oob sets) of the recursive grower with train_forest's draws."""
+    Xenc, levels = _encode(X)
+    ycls = np.searchsorted(np.unique(y), y)
+    n_levels = np.array([len(lv) for lv in levels])
+    trees, oobs = [], []
+    for t in range(config.n_trees):
+        rng = np.random.default_rng([seed, t])
+        boot = rng.integers(0, len(X), size=len(X))
+        oobs.append(np.setdiff1d(np.arange(len(X)), boot))
+        trees.append(_grow(Xenc, ycls, boot, rng, config, n_levels, int(ycls.max()) + 1))
+    return trees, oobs
+
+
+def _reference_votes(trees, Xenc, n_classes):
+    votes = np.zeros((len(Xenc), n_classes))
+    for tree in trees:
+        votes[np.arange(len(Xenc)), _tree_predict(tree, Xenc)] += 1
+    return votes / len(trees)
+
+
+def _reference_oob_votes(trees, oobs, Xenc, n_classes):
+    votes = np.zeros((len(Xenc), n_classes))
+    for tree, oob in zip(trees, oobs):
+        if len(oob):
+            votes[oob, _tree_predict(tree, Xenc[oob])] += 1
+    return votes
+
+
+def _reference_importance(trees, oobs, Xenc, ycls, seed):
+    K = Xenc.shape[1]
+    deltas = np.zeros(K)
+    used = 0
+    for t, (tree, oob) in enumerate(zip(trees, oobs)):
+        if len(oob) == 0:
+            continue
+        used += 1
+        sub = Xenc[oob]
+        base_err = np.mean(_tree_predict(tree, sub) != ycls[oob])
+        rng = np.random.default_rng([seed, t])
+        for c in range(K):
+            perm = rng.permutation(len(oob))
+            shuffled = sub.copy()
+            shuffled[:, c] = sub[perm, c]
+            err = np.mean(_tree_predict(tree, shuffled) != ycls[oob])
+            deltas[c] += err - base_err
+    return deltas / max(used, 1)
+
+
+def _preorder(tree):
+    """A dict tree as the flat layout's preorder: (feature, majority, counts, {level: child})."""
+    nodes = []
+
+    def visit(node):
+        nodes.append(None)
+        k = len(nodes) - 1
+        kids = {v: visit(child) for v, child in node.get("children", {}).items()}
+        nodes[k] = (node.get("feature", -1), node["majority"], node["counts"].tolist(), kids)
+        return k
+
+    visit(tree)
+    return nodes
+
+
+def _flat_tree(model, t):
+    """Tree t of a trained model in the same form as `_preorder`."""
+    trees = model.trees
+    first = trees.start[t]
+    nodes = []
+    for k in range(first, trees.start[t + 1]):
+        f = int(trees.feature[k])
+        kids = {}
+        if f >= 0:
+            row = trees.child[trees.child_start[k]:trees.child_start[k] + len(model.levels[f]) + 1]
+            kids = {v: int(c) - first for v, c in enumerate(row) if c >= 0}
+        nodes.append((f, int(trees.majority[k]), trees.counts[k].tolist(), kids))
+    return nodes
+
+
+def _test10_matrix():
+    rng = np.random.default_rng(17)
+    X = rng.choice([-1, 1, 2], size=(400, 6))
+    return X, np.where(X[:, 0] == 2, 0, X[:, 0])
+
+
+def _hour_matrix():
+    """A paper-sized predictor matrix: 36 state columns and a 24-level hour column."""
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.choice([-1, 1, 2], size=(539, 36)), rng.integers(0, 24, size=539)])
+    y = np.where(X[:, 0] + X[:, 1] + rng.integers(-1, 2, size=539) > 1, 1, -1)
+    return X, y
 
 
 def _single_informative(n=400, n_noise=5, seed=0):
@@ -51,12 +210,120 @@ def test_forest_requires_enough_rows():
         train_forest(np.zeros((10, 3)), np.zeros(10))
 
 
+def test_forest_refuses_mismatched_inputs():
+    X, y = _single_informative(n=60)
+    # a longer y was silently cut to len(X) labels; a shorter one failed inside the grower
+    with pytest.raises(ValueError, match="labels"):
+        train_forest(X, np.concatenate([y, y[:5]]), ForestConfig(n_trees=2))
+    with pytest.raises(ValueError, match="labels"):
+        train_forest(X, y[:-1], ForestConfig(n_trees=2))
+    for bad in (X[:, 0], X[:, :0]):
+        with pytest.raises(ValueError, match="2-D"):
+            train_forest(bad, y, ForestConfig(n_trees=2))
+
+
 def test_forest_config_refuses_empty_forest():
     # no tree means NaN votes and a silent abstention on every row
     for n_trees in (0, -1):
         with pytest.raises(ValueError, match="n_trees"):
             ForestConfig(n_trees=n_trees)
     assert ForestConfig(n_trees=1).n_trees == 1
+    # mtry=0 fell back to the default forest, mtry=-1 crashed inside numpy,
+    # and a node size below 1 was accepted
+    for mtry in (0, -1):
+        with pytest.raises(ValueError, match="mtry"):
+            ForestConfig(mtry=mtry)
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="min_node_size"):
+            ForestConfig(min_node_size=size)
+    assert ForestConfig(mtry=1, min_node_size=1).mtry == 1
+
+
+def test_split_impurities_equal_reference_to_the_bit():
+    rng = np.random.default_rng(0)
+    tables, n_occupied, sizes, expected = [], [], [], []
+    for _ in range(400):
+        n_levels, n_classes = int(rng.integers(2, 30)), 3
+        counts = rng.integers(0, 12, size=(n_levels, n_classes))
+        counts[rng.random(n_levels) < 0.3] = 0  # empty levels between occupied ones
+        occupied = counts.sum(axis=1) > 0
+        if not 2 <= occupied.sum() <= 24:
+            continue
+        xcol = np.repeat(np.repeat(np.arange(n_levels), n_classes), counts.ravel())
+        ycls = np.repeat(np.tile(np.arange(n_classes), n_levels), counts.ravel())
+        expected.append(_gini_split(xcol, ycls, n_levels, n_classes))
+        tables.append(counts[occupied])
+        n_occupied.append(occupied.sum())
+        sizes.append(counts.sum())
+    # a candidate with one occupied level cannot split
+    tables.append(np.array([[4, 1, 0]]))
+    n_occupied.append(1)
+    sizes.append(5)
+    got = _split_impurities(np.concatenate(tables), np.array(n_occupied), np.array(sizes))
+    assert len(expected) > 300
+    assert set(n_occupied[:-1]) == set(range(2, 25))
+    assert got[:-1].tolist() == expected
+    assert got[-1] == np.inf
+
+
+@pytest.mark.parametrize(
+    "matrix, config, seed",
+    [
+        (_test10_matrix, ForestConfig(n_trees=60), 2),
+        (_hour_matrix, ForestConfig(n_trees=100), 1),
+        (_hour_matrix, ForestConfig(n_trees=40, mtry=3, min_node_size=2), 4),
+    ],
+    ids=["test10", "hour-539x37", "hour-mtry3"],
+)
+def test_forest_equals_recursive_reference(matrix, config, seed):
+    X, y = matrix()
+    ref_trees, ref_oobs = _reference_forest(X, y, config, seed)
+    model = train_forest(X, y, config, seed=seed)
+    assert len(model.trees) == config.n_trees
+    for t, tree in enumerate(ref_trees):
+        assert _flat_tree(model, t) == _preorder(tree), f"tree {t}"
+        assert np.array_equal(model.oob_indices[t], ref_oobs[t])
+    Xenc, _ = _encode(X, model.levels)
+    ycls = np.searchsorted(model.classes, y)
+    C = len(model.classes)
+    Xq = np.vstack([X[::7], np.full((1, X.shape[1]), 99)])  # last row: every level unseen
+    assert np.array_equal(forest_votes(model, Xq), _reference_votes(ref_trees, _encode(Xq, model.levels)[0], C))
+    ref_oob = model.classes[np.argmax(_reference_oob_votes(ref_trees, ref_oobs, Xenc, C), axis=1)]
+    assert np.array_equal(oob_predictions(model, X), ref_oob)
+    report = permutation_importance(model, X, y, seed=3)
+    assert np.array_equal(report.importance, _reference_importance(ref_trees, ref_oobs, Xenc, ycls, 3))
+
+
+@pytest.mark.parametrize("gain", [False, True])
+def test_split_needs_more_than_a_rounding_gain(gain):
+    # level 0 holds 1:6 of the two classes and level 1 2:12, the same mix as
+    # the node, so the split gains nothing; in floating point its impurity
+    # still comes out one rounding step below the node's, and only the 1e-12
+    # margin keeps the node a leaf.  Moving one row of class 0 gives a real gain.
+    counts = np.array([[1, 6], [2, 12]]) if not gain else np.array([[2, 6], [1, 12]])
+    Xenc = np.repeat([0, 0, 1, 1], counts.ravel())[:, None]
+    ycls = np.repeat([0, 1, 0, 1], counts.ravel())
+    n = len(ycls)
+    parent = 1.0 - ((counts.sum(axis=0) / n) ** 2).sum()
+    imp = _split_impurities(counts, np.array([2]), np.array([n]))[0]
+    assert imp == _gini_split(Xenc[:, 0], ycls, 2, 2)
+    assert (parent - 1e-12 <= imp < parent) != gain
+    trees = _grow_forest(Xenc, ycls, [np.arange(n)], [np.random.default_rng(0)], 1, 1, np.array([2]), 2)
+    ref = _grow(Xenc, ycls, np.arange(n), np.random.default_rng(0), ForestConfig(min_node_size=1), np.array([2]), 2)
+    assert (trees.feature[0] == 0) == gain == ("feature" in ref)
+    assert len(trees) == 1 and len(trees.feature) == len(_preorder(ref))
+
+
+def test_oob_accuracy_scores_only_rows_that_were_out_of_bag():
+    X, y = _single_informative(n=200, seed=19)
+    model = train_forest(X, y, ForestConfig(n_trees=1), seed=0)
+    oob = model.oob_indices[0]
+    assert 0 < len(oob) < len(X)
+    # a row no tree left out of bag has no OOB vote and must not be scored
+    assert oob_accuracy(model, X, y) == float(np.mean(oob_predictions(model, X)[oob] == y[oob]))
+    model.oob_indices[0] = oob[:0]
+    with pytest.raises(ValueError, match="out of bag"):
+        oob_accuracy(model, X, y)
 
 
 def test_forest_single_class_degenerates_gracefully():

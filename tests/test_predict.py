@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,22 @@ def test_rolling_forecast_recalibration_cadence_matches_daily():
     for d, s in zip(daily, sparse):
         if matrix.grid.day_index[d.slice_index] == first_day:
             assert d.per_window == s.per_window
+
+
+def test_rolling_forecast_records_are_pinned():
+    # both targets, 20 trees, three forecast days; the digest was recorded
+    # with the recursive forest grower, so any change to a split, a draw or a
+    # vote of the forest (or to anything upstream of it) shows here
+    trades, matrix = _planted_market(23)
+    digest = hashlib.sha256()
+    for kind in ("flow", "vwap"):
+        records, _ = rolling_forecast(
+            matrix, CalibrationSchedule(window_lengths=(20,)), target_kind=kind, seed=3, trades=trades,
+            top_n=100, min_trades=20, forest_config=ForestConfig(n_trees=20),
+        )
+        assert len({matrix.grid.day_index[r.slice_index] for r in records}) == 3
+        digest.update(repr(records).encode())
+    assert digest.hexdigest() == "9770915e9a5b06596b150bae687d673276bd9fea92467d9635fab25f35dc2693"
 
 
 def test_rolling_forecast_vwap_requires_trades():
