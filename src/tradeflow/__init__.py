@@ -20,7 +20,7 @@ from .ingest import (
     StateMatrix,
     TailFit,
     TimeGrid,
-    TradeRecord,
+    Trades,
     build_grid,
     classify_states,
     filter_active,
@@ -46,7 +46,7 @@ __all__ = [
     "StateMatrix",
     "TailFit",
     "TimeGrid",
-    "TradeRecord",
+    "Trades",
     "build_grid",
     "classify_states",
     "filter_active",

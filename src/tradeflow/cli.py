@@ -80,11 +80,14 @@ class RunConfig:
         for key in ("lag_depth", "histogram_bin", "stability_window", "stability_step"):
             if getattr(self, key) <= 0:
                 raise SystemExit(f"config error: {key} must be positive, got {getattr(self, key)}")
+        if bool(self.start_date) != bool(self.end_date):
+            raise SystemExit("config error: start_date and end_date must be set together")
         try:
             FdrConfig(self.p0)
             self.schedule()
             self.forest()
-            build_grid("2000-01-03", "2000-01-03", timedelta(minutes=self.slice_minutes))  # checks only: no days
+            for day in (self.start_date, self.end_date):  # checks only: an empty range has no days
+                build_grid(day or "2000-01-03", day or "2000-01-03", timedelta(minutes=self.slice_minutes))
         except ValueError as exc:
             raise SystemExit(f"config error: {exc}") from None
         return self
@@ -121,21 +124,22 @@ class RunConfig:
 
 def _load_trades(path, instrument=""):
     with open(path, newline="") as fh:
-        records, rejects = parse_trades(fh)
+        trades, rejects = parse_trades(fh)
     if instrument:
-        records = [r for r in records if r.instrument == instrument]
-    return records, rejects
+        code = trades.instruments.index(instrument) if instrument in trades.instruments else -1
+        trades = trades.take(trades.instrument == code)
+    return trades, rejects
 
 
 def _grid_from(cfg: RunConfig, trades):
-    if cfg.start_date and cfg.end_date:
+    if cfg.start_date:  # validate() refuses one date without the other
         start, end = cfg.start_date, cfg.end_date
     else:
-        if not trades:
+        if not len(trades):
             raise SystemExit("no trades and no explicit start/end dates in config")
         zone = ZoneInfo(cfg.timezone)
-        t0 = datetime.fromtimestamp(trades[0].timestamp / 1000, tz=zone).date()
-        t1 = datetime.fromtimestamp(trades[-1].timestamp / 1000, tz=zone).date() + timedelta(days=1)
+        t0 = datetime.fromtimestamp(int(trades.timestamp[0]) / 1000, tz=zone).date()
+        t1 = datetime.fromtimestamp(int(trades.timestamp[-1]) / 1000, tz=zone).date() + timedelta(days=1)
         start, end = t0.isoformat(), t1.isoformat()
     return build_grid(
         start,

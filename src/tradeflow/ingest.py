@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
@@ -27,15 +28,40 @@ ACTIVE_STATES = (STATE_SELL, STATE_BUY, STATE_NEUTRAL)
 TRADE_FIELDS = ("trader_id", "timestamp", "instrument", "signed_volume", "price")
 
 
-@dataclass(frozen=True)
-class TradeRecord:
-    """One transaction.  Volume is signed: buys positive, sells negative."""
+@dataclass(frozen=True, eq=False)
+class Trades:
+    """A trade stream as columns, one entry per trade, in stream order.
 
-    trader_id: str
-    timestamp: int  # milliseconds since epoch, UTC
-    instrument: str
-    signed_volume: float
-    price: float
+    ``trader``/``instrument`` are codes into the sorted id tables ``trader_ids``/
+    ``instruments`` of Python strings (ids differing only by trailing NULs stay
+    apart); ``timestamp`` is epoch ms (UTC); volume is signed: buys positive.
+    """
+
+    trader_ids: tuple
+    trader: np.ndarray
+    timestamp: np.ndarray
+    instruments: tuple
+    instrument: np.ndarray
+    signed_volume: np.ndarray
+    price: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def take(self, index) -> "Trades":
+        """The trades at ``index`` (index array or boolean mask); the id tables stay whole."""
+        columns = ("trader", "timestamp", "instrument", "signed_volume", "price")
+        return replace(self, **{c: getattr(self, c)[index] for c in columns})
+
+
+def encode_ids(names: list, codes) -> tuple:
+    """``(table, codes)``: ``codes`` (indices into ``names``) re-coded into the sorted table of the names used."""
+    codes = np.asarray(codes, dtype=np.intp)
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    used = used[np.argsort(np.array(names, dtype=object)[used])]  # compares as Python sorts strings
+    remap = np.zeros(len(names), dtype=np.int32)
+    remap[used] = np.arange(len(used))
+    return tuple(names[k] for k in used.tolist()), remap[codes]
 
 
 @dataclass(frozen=True)
@@ -53,13 +79,15 @@ def _parse_timestamp(text: str) -> int:
     """Accept epoch milliseconds or ISO-8601; return epoch milliseconds."""
     text = text.strip()
     try:
-        return int(text)
+        ms = int(text)
     except ValueError:
-        pass
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp() * 1000)
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        ms = int(dt.timestamp() * 1000)
+    if not -(2**63) <= ms < 2**63:
+        raise ValueError(f"timestamp {text!r} is out of the int64 millisecond range")
+    return ms
 
 
 def parse_trades(stream, max_reject_fraction: float = 0.10):
@@ -74,8 +102,9 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
 
     Returns
     -------
-    (records, rejects)
-        ``records`` sorted ascending by timestamp; ``rejects`` is the list of
+    (trades, rejects)
+        ``trades`` is a :class:`Trades` sorted ascending by timestamp (stable,
+        so equal times keep their input order); ``rejects`` is the list of
         malformed rows with reasons (never silently dropped).
     """
     if isinstance(stream, bytes):
@@ -93,7 +122,9 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
         raise ParseError(f"header is missing required fields: {missing}")
     col = {name: header.index(name) for name in TRADE_FIELDS}
 
-    records = []
+    traders, instruments = {}, {}
+    trader, instrument = array("i"), array("i")
+    timestamp, signed_volume, price = array("q"), array("d"), array("d")
     rejects = []
     n_rows = 0
     for line_no, row in enumerate(reader, start=2):
@@ -103,32 +134,36 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
         try:
             ts = _parse_timestamp(row[col["timestamp"]])
             volume = float(row[col["signed_volume"]])
-            price = float(row[col["price"]])
-        except (ValueError, IndexError) as exc:
-            rejects.append(RejectedRow(line_no, f"unparseable: {exc}", ",".join(row)))
-            continue
-        if volume == 0:
-            rejects.append(RejectedRow(line_no, "zero signed_volume", ",".join(row)))
-            continue
-        if not price > 0 or not math.isfinite(price) or not math.isfinite(volume):
-            rejects.append(RejectedRow(line_no, "price must be positive and finite", ",".join(row)))
-            continue
-        records.append(
-            TradeRecord(
-                trader_id=row[col["trader_id"]].strip(),
-                timestamp=ts,
-                instrument=row[col["instrument"]].strip(),
-                signed_volume=volume,
-                price=price,
+            px = float(row[col["price"]])
+            trader_id = row[col["trader_id"]].strip()
+            name = row[col["instrument"]].strip()
+            reason = (
+                "zero signed_volume" if volume == 0
+                else "price must be positive and finite" if not (px > 0 and math.isfinite(px) and math.isfinite(volume))
+                else "empty trader_id" if not trader_id
+                else None
             )
-        )
+        except (ValueError, IndexError) as exc:
+            reason = f"unparseable: {exc}"
+        if reason:
+            rejects.append(RejectedRow(line_no, reason, ",".join(row)))
+            continue
+        trader.append(traders.setdefault(trader_id, len(traders)))
+        instrument.append(instruments.setdefault(name, len(instruments)))
+        timestamp.append(ts)
+        signed_volume.append(volume)
+        price.append(px)
     if n_rows and len(rejects) / n_rows > max_reject_fraction:
         raise ParseError(
             f"{len(rejects)} of {n_rows} rows malformed "
             f"(> {max_reject_fraction:.0%}); first reject: {rejects[0]}"
         )
-    records.sort(key=lambda r: r.timestamp)
-    return records, rejects
+    trader_ids, trader = encode_ids(list(traders), trader)
+    instrument_ids, instrument = encode_ids(list(instruments), instrument)
+    timestamp = np.frombuffer(timestamp, dtype=np.int64)
+    trades = Trades(trader_ids, trader, timestamp, instrument_ids, instrument, np.frombuffer(signed_volume),
+                    np.frombuffer(price))
+    return trades.take(np.argsort(timestamp, kind="stable")), rejects
 
 
 @dataclass(frozen=True)
@@ -149,9 +184,10 @@ class TimeGrid:
     session_end: time = time(16, 0)
     tz: str = "Europe/London"
     include_weekends: bool = False
+    _columns = ("starts", "ends", "day_index", "local_hour")  # per-slice int64 arrays
 
     def __post_init__(self):
-        for name in ("starts", "ends", "day_index", "local_hour"):
+        for name in self._columns:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
     def __len__(self) -> int:
@@ -170,13 +206,14 @@ class TimeGrid:
 
     def window(self, t0: int, t1: int) -> "TimeGrid":
         """Sub-grid over slice indices [t0, t1)."""
-        return replace(
-            self,
-            starts=self.starts[t0:t1],
-            ends=self.ends[t0:t1],
-            day_index=self.day_index[t0:t1],
-            local_hour=self.local_hour[t0:t1],
-        )
+        return replace(self, **{name: getattr(self, name)[t0:t1] for name in self._columns})
+
+    def slice_of(self, ms: np.ndarray) -> np.ndarray:
+        """Index of the slice holding each epoch-ms time, -1 where no slice does."""
+        pos = np.searchsorted(self.starts, ms, side="right") - 1
+        if not len(self):
+            return pos
+        return np.where((pos >= 0) & (ms < self.ends[np.clip(pos, 0, len(self) - 1)]), pos, -1)
 
     def day_slices(self) -> list[np.ndarray]:
         """Slice-index arrays grouped per trading day, in order."""
@@ -201,10 +238,9 @@ def build_grid(
     if slice_duration <= timedelta(0):
         raise ValueError(f"slice duration must be positive, got {slice_duration}")
     zone = ZoneInfo(tz)
-    if isinstance(start_date, str):
-        start_date = datetime.fromisoformat(start_date).date()
-    if isinstance(end_date, str):
-        end_date = datetime.fromisoformat(end_date).date()
+    start_date, end_date = (
+        datetime.fromisoformat(d).date() if isinstance(d, str) else d for d in (start_date, end_date)
+    )
     starts, ends, day_index, local_hour = [], [], [], []
     day = start_date
     d = 0
@@ -212,7 +248,6 @@ def build_grid(
         if include_weekends or day.weekday() < 5:
             cursor = datetime.combine(day, session_start)
             session_close = datetime.combine(day, session_end)
-            emitted = False
             while cursor + slice_duration <= session_close:
                 t0 = cursor.replace(tzinfo=zone)
                 t1 = (cursor + slice_duration).replace(tzinfo=zone)
@@ -221,20 +256,12 @@ def build_grid(
                 day_index.append(d)
                 local_hour.append(cursor.hour)
                 cursor += slice_duration
-                emitted = True
-            if emitted:
+            if day_index and day_index[-1] == d:
                 d += 1
         day += timedelta(days=1)
     return TimeGrid(
-        starts=np.array(starts, dtype=np.int64),
-        ends=np.array(ends, dtype=np.int64),
-        day_index=np.array(day_index, dtype=np.int64),
-        local_hour=np.array(local_hour, dtype=np.int64),
-        slice_duration=slice_duration,
-        session_start=session_start,
-        session_end=session_end,
-        tz=tz,
-        include_weekends=include_weekends,
+        starts=starts, ends=ends, day_index=day_index, local_hour=local_hour, slice_duration=slice_duration,
+        session_start=session_start, session_end=session_end, tz=tz, include_weekends=include_weekends,
     )
 
 
@@ -278,51 +305,38 @@ class StateMatrix:
 
     def select_traders(self, trader_ids) -> "StateMatrix":
         idx = np.array([self.index_of(t) for t in trader_ids], dtype=np.intp)
-        return StateMatrix(
-            traders=list(trader_ids),
-            grid=self.grid,
-            V=self.V[idx],
-            G=self.G[idx],
-            sigma=self.sigma[idx],
-            counts=self.counts[idx],
-        )
+        return self._take(list(trader_ids), self.grid, idx)
 
     def slice_window(self, t0: int, t1: int) -> "StateMatrix":
         """Restrict to slice indices [t0, t1); activity recounts in-window."""
-        return StateMatrix(
-            traders=list(self.traders),
-            grid=self.grid.window(t0, t1),
-            V=self.V[:, t0:t1],
-            G=self.G[:, t0:t1],
-            sigma=self.sigma[:, t0:t1],
-            counts=self.counts[:, t0:t1],
-        )
+        return self._take(list(self.traders), self.grid.window(t0, t1), np.s_[:, t0:t1])
+
+    def _take(self, traders, grid, index) -> "StateMatrix":
+        """The matrix on ``traders`` and ``grid``, with every array indexed by ``index``."""
+        return StateMatrix(traders, grid, self.V[index], self.G[index], self.sigma[index], self.counts[index])
 
 
 def classify_states(trades, grid: TimeGrid, rho0: float = 0.01) -> StateMatrix:
     """Classify every trader's state in every slice of the grid.
 
+    Traders are those with at least one trade in ``trades``, sorted by id.
     Trades outside the session/weekend slices are ignored.  The boundary
     |rho| == rho0 is assigned to the neutral state so the rule is total.
     """
     if not 0.01 <= rho0 <= 0.1:
         raise ValueError(f"rho0 must lie in [0.01, 0.1], got {rho0}")
-    traders = sorted({tr.trader_id for tr in trades})
-    tindex = {t: k for k, t in enumerate(traders)}
+    present, rows = np.unique(trades.trader, return_inverse=True)
+    traders = [trades.trader_ids[k] for k in present.tolist()]
     n, T = len(traders), len(grid)
     V = np.zeros((n, T))
     G = np.zeros((n, T))
     counts = np.zeros((n, T), dtype=np.int64)
-    if trades and T:
-        ts = np.array([tr.timestamp for tr in trades], dtype=np.int64)
-        vol = np.array([tr.signed_volume for tr in trades])
-        rows = np.array([tindex[tr.trader_id] for tr in trades], dtype=np.intp)
-        pos = np.searchsorted(grid.starts, ts, side="right") - 1
-        in_grid = (pos >= 0) & (ts < grid.ends[np.clip(pos, 0, T - 1)])
-        rows, pos, vol = rows[in_grid], pos[in_grid], vol[in_grid]
-        np.add.at(V, (rows, pos), vol)
-        np.add.at(G, (rows, pos), np.abs(vol))
-        np.add.at(counts, (rows, pos), 1)
+    pos = grid.slice_of(trades.timestamp)
+    ok = pos >= 0
+    rows, pos, vol = rows[ok], pos[ok], trades.signed_volume[ok]
+    np.add.at(V, (rows, pos), vol)
+    np.add.at(G, (rows, pos), np.abs(vol))
+    np.add.at(counts, (rows, pos), 1)
     sigma = states_from_volumes(V, G, rho0)
     return StateMatrix(traders=traders, grid=grid, V=V, G=G, sigma=sigma, counts=counts)
 
@@ -420,10 +434,7 @@ def trade_size_histogram(trades, bin_width: float):
     """
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    sizes = np.array([abs(tr.signed_volume) for tr in trades])
-    if len(sizes) == 0:
-        return []
-    bins = np.floor(sizes / bin_width).astype(np.int64)
+    bins = np.floor(np.abs(trades.signed_volume) / bin_width).astype(np.int64)
     uniq, counts = np.unique(bins, return_counts=True)
     rows = []
     # tail counts accumulate from the right

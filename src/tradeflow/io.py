@@ -15,15 +15,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import StateMatrix, TimeGrid, TradeRecord
+from .ingest import StateMatrix, TimeGrid, Trades
 
 
-def write_trades(path, trades):
+def write_trades(path, trades: Trades):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trader_id", "timestamp", "instrument", "signed_volume", "price"])
-        for tr in trades:
-            w.writerow([tr.trader_id, tr.timestamp, tr.instrument, repr(tr.signed_volume), repr(tr.price)])
+        # .tolist() gives Python ints and floats, which csv writes as repr() does
+        w.writerows(zip(
+            np.array(trades.trader_ids, dtype=object)[trades.trader].tolist(), trades.timestamp.tolist(),
+            np.array(trades.instruments, dtype=object)[trades.instrument].tolist(),
+            trades.signed_volume.tolist(), trades.price.tolist(),
+        ))
 
 
 def _iso_ms(ms: int) -> str:

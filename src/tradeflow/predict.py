@@ -84,14 +84,11 @@ def vwap_series(trades, grid) -> np.ndarray:
     T = len(grid)
     notional = np.zeros(T)
     gross = np.zeros(T)
-    if trades and T:
-        ts = np.array([tr.timestamp for tr in trades], dtype=np.int64)
-        vol = np.abs(np.array([tr.signed_volume for tr in trades]))
-        px = np.array([tr.price for tr in trades])
-        pos = np.searchsorted(grid.starts, ts, side="right") - 1
-        ok = (pos >= 0) & (ts < grid.ends[np.clip(pos, 0, T - 1)])
-        np.add.at(notional, pos[ok], (px * vol)[ok])
-        np.add.at(gross, pos[ok], vol[ok])
+    pos = grid.slice_of(trades.timestamp)
+    ok = pos >= 0
+    vol = np.abs(trades.signed_volume)
+    np.add.at(notional, pos[ok], (trades.price * vol)[ok])
+    np.add.at(gross, pos[ok], vol[ok])
     out = np.full(T, np.nan)
     nz = gross > 0
     out[nz] = notional[nz] / gross[nz]

@@ -14,7 +14,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import TimeGrid, TradeRecord, build_grid
+from .ingest import TimeGrid, Trades, build_grid, encode_ids
 
 ROUND_SIZES = np.array([1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 50, 100], dtype=np.float64)
 ROUND_WEIGHTS = np.array([0.10, 0.08, 0.04, 0.03, 0.08, 0.02, 0.22, 0.03, 0.16, 0.03, 0.14, 0.07])
@@ -95,38 +95,27 @@ def _sizes(rng, k: int) -> np.ndarray:
     return 1000.0 * rng.choice(ROUND_SIZES, size=k, p=ROUND_WEIGHTS)
 
 
-def _emit_slice_trades(rng, trades, trader, t_start, t_end, state, k, prices, instrument):
-    """Append k trades realizing the given state within one slice."""
-    if k <= 0:
-        return
+def _slice_trades(rng, code, grid, t, state, k, mid):
+    """Columns (trader code, timestamp, signed volume, price) of k trades realizing a state in slice t."""
+    prices = mid * (1.0 + 1e-4 * rng.normal(size=max(k, 2)))
     if state == 2 and k == 1:
         k = 2
-    span = t_end - t_start
-    ts = np.sort(rng.integers(0, span, size=k)) + t_start
+    ts = np.sort(rng.integers(0, grid.ends[t] - grid.starts[t], size=k)) + grid.starts[t]
     if state == 2:
         sells = _sizes(rng, k - 1)
         volumes = np.concatenate(([sells.sum()], -sells))
     else:
         volumes = state * _sizes(rng, k)
-    for j in range(k):
-        price = prices[j]
-        trades.append(
-            TradeRecord(
-                trader_id=trader,
-                timestamp=int(ts[j]),
-                instrument=instrument,
-                signed_volume=float(volumes[j]),
-                price=float(price),
-            )
-        )
+    return np.full(k, code, dtype=np.int32), ts, volumes, prices[:k]
 
 
 def generate_market(spec: MarketSpec):
     """Generate a synthetic trade stream with known structure.
 
-    Returns ``(trades, truth)`` where ``trades`` is a timestamp-sorted list
-    of records and ``truth`` holds the planted partition, lead-lag edges and
-    per-slice intended group states.  Fully deterministic for a fixed spec.
+    Returns ``(trades, truth)`` where ``trades`` is a :class:`Trades` sorted by
+    (timestamp, trader id) and ``truth`` holds the planted partition, lead-lag
+    edges and per-slice intended group states.  Fully deterministic for a
+    fixed spec.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -159,7 +148,9 @@ def generate_market(spec: MarketSpec):
     for t in range(1, T):
         mid[t] = mid[t - 1] * (1.0 + spec.kappa * flow[t - 1] + spec.price_noise * shocks[t - 1])
 
-    trades = []
+    names = []  # trader ids, indexed by trader code
+    # one column tuple per (trader, slice); the empty first one lets a market without trades concatenate
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int64), np.empty(0), np.empty(0))]
     partition = {}
     truth_edges = []
     for e in spec.leadlag_edges:
@@ -170,30 +161,27 @@ def generate_market(spec: MarketSpec):
         for m in range(size):
             trader = f"g{g + 1:02d}m{m + 1:03d}"
             partition[trader] = g + 1
+            names.append(trader)
             k_per_slice = rng.poisson(spec.member_rate, size=T)
             own = _draw_states(rng, T, spec.neutral_prob)
             follow = rng.random(T) < spec.sync_fidelity
             states = np.where(follow, intended[g], own)
             for t in np.flatnonzero(k_per_slice):
-                k = int(k_per_slice[t])
-                prices = mid[t] * (1.0 + 1e-4 * rng.normal(size=max(k, 2)))
-                _emit_slice_trades(
-                    rng, trades, trader, grid.starts[t], grid.ends[t], int(states[t]), k, prices, spec.instrument
-                )
+                parts.append(_slice_trades(rng, len(names) - 1, grid, t, int(states[t]), int(k_per_slice[t]), mid[t]))
 
     # heavy-tailed independent noise traders
     totals = sample_trade_counts(rng, spec.n_noise_traders, spec.alpha, cap=20 * T)
     for i in range(spec.n_noise_traders):
-        trader = f"noise{i + 1:05d}"
+        names.append(f"noise{i + 1:05d}")
         k_per_slice = rng.multinomial(totals[i], np.full(T, 1.0 / T))
         states = _draw_states(rng, T, spec.neutral_prob)
         for t in np.flatnonzero(k_per_slice):
-            k = int(k_per_slice[t])
-            prices = mid[t] * (1.0 + 1e-4 * rng.normal(size=max(k, 2)))
-            _emit_slice_trades(
-                rng, trades, trader, grid.starts[t], grid.ends[t], int(states[t]), k, prices, spec.instrument
-            )
+            parts.append(_slice_trades(rng, len(names) - 1, grid, t, int(states[t]), int(k_per_slice[t]), mid[t]))
 
-    trades.sort(key=lambda tr: (tr.timestamp, tr.trader_id))
+    code, ts, volume, price = (np.concatenate(column) for column in zip(*parts))
+    trader_ids, code = encode_ids(names, code)
+    instruments, instrument = encode_ids([spec.instrument], np.zeros(len(ts), dtype=np.int32))
+    # sorted by (timestamp, trader id); ties keep their emission order
+    trades = Trades(trader_ids, code, ts, instruments, instrument, volume, price).take(np.lexsort((code, ts)))
     truth = GroundTruth(partition=partition, leadlag_edges=truth_edges, intended_states=intended, grid=grid)
     return trades, truth

@@ -66,10 +66,36 @@ def test_config_defaults_and_validation(tmp_path):
         "recalibrate_every: 0\n", "p0: 1.5\n", "window_lengths: [50, 45]\n",
         "slice_minutes: 0\n", "slice_minutes: -30\n", "stability_step: 0\n", "stability_window: 0\n",
         "n_trees: 0\n", "min_node_size: 0\n", "lag_depth: 0\n", "histogram_bin: 0\n",
+        # a date range needs both ends, and both must parse
+        "start_date: '2024-01-01'\n", "end_date: '2024-02-01'\n",
+        "start_date: 'not-a-date'\nend_date: '2024-02-01'\n", "start_date: '2024-01-01'\nend_date: '2024-02-30'\n",
     ):
         bad.write_text(text)
         with pytest.raises(SystemExit, match="config error"):
             RunConfig.load(str(bad))
+
+
+def test_config_date_range_loads(tmp_path):
+    good = tmp_path / "good.yaml"
+    good.write_text("start_date: '2024-01-01'\nend_date: '2024-02-01'\n")
+    cfg = RunConfig.load(str(good))
+    assert len(cli._grid_from(cfg, None)) == 23 * 7
+
+
+def test_instrument_filter_keeps_only_its_traders(tmp_path):
+    path = tmp_path / "trades.csv"
+    path.write_text(
+        "trader_id,timestamp,instrument,signed_volume,price\n"
+        "a,1704103200000,EURUSD,1000,1.1\nb,1704103200001,GBPUSD,-1000,1.3\nc,1704103200002,EURUSD,-500,1.1\n"
+    )
+    trades, rejects = cli._load_trades(path, "EURUSD")
+    assert rejects == [] and len(trades) == 2
+    assert [trades.trader_ids[c] for c in trades.trader] == ["a", "c"]
+    assert trades.signed_volume.tolist() == [1000.0, -500.0]
+    grid = cli._grid_from(RunConfig(), trades)
+    assert cli.classify_states(trades, grid).traders == ["a", "c"]
+    assert len(cli._load_trades(path, "USDJPY")[0]) == 0
+    assert len(cli._load_trades(path)[0]) == 3
 
 
 def test_config_hash_tracks_content(tmp_path):

@@ -23,15 +23,49 @@ from tradeflow.ingest import (
 HEADER = "trader_id,timestamp,instrument,signed_volume,price\n"
 
 
+def _rows(trades):
+    """Every column of ``trades``, ids decoded, one tuple per trade."""
+    return list(zip(
+        [trades.trader_ids[c] for c in trades.trader.tolist()], trades.timestamp.tolist(),
+        [trades.instruments[c] for c in trades.instrument.tolist()],
+        trades.signed_volume.tolist(), trades.price.tolist(),
+    ))
+
+
 def test_parse_basic_and_sorting():
     text = HEADER + (
         "b,1704103200000,EURUSD,-2000,1.1\n"
         "a,1704099600000,EURUSD,1000,1.1\n"
     )
-    records, rejects = parse_trades(text)
-    assert [r.trader_id for r in records] == ["a", "b"]
+    trades, rejects = parse_trades(text)
     assert rejects == []
-    assert records[0].signed_volume == 1000.0
+    assert len(trades) == 2
+    assert trades.trader_ids == ("a", "b") and trades.instruments == ("EURUSD",)
+    assert trades.trader.tolist() == [0, 1] and trades.instrument.tolist() == [0, 0]
+    assert trades.timestamp.dtype == np.int64
+    assert trades.signed_volume.dtype == trades.price.dtype == np.float64
+    assert _rows(trades) == [
+        ("a", 1704099600000, "EURUSD", 1000.0, 1.1),
+        ("b", 1704103200000, "EURUSD", -2000.0, 1.1),
+    ]
+
+
+def test_parse_sort_is_stable_and_tables_are_sorted():
+    text = HEADER + (
+        "zed,1704103200000,GBPUSD,-2000,1.3\n"
+        "b,1704099600000,EURUSD,1000,1.1\n"
+        "a,1704103200000,EURUSD,500,1.2\n"
+        "b,1704099600000,GBPUSD,-700,1.4\n"
+    )
+    trades, _ = parse_trades(text)
+    assert trades.trader_ids == ("a", "b", "zed") and trades.instruments == ("EURUSD", "GBPUSD")
+    # equal timestamps keep their input order, as a stable sort does
+    assert _rows(trades) == [
+        ("b", 1704099600000, "EURUSD", 1000.0, 1.1),
+        ("b", 1704099600000, "GBPUSD", -700.0, 1.4),
+        ("zed", 1704103200000, "GBPUSD", -2000.0, 1.3),
+        ("a", 1704103200000, "EURUSD", 500.0, 1.2),
+    ]
 
 
 def test_parse_iso_timestamps_match_epoch():
@@ -39,20 +73,60 @@ def test_parse_iso_timestamps_match_epoch():
         "a,2024-01-02T09:30:00+00:00,EURUSD,1000,1.1\n"
         "b,1704187800000,EURUSD,1000,1.1\n"
     )
-    records, _ = parse_trades(text)
-    assert records[0].timestamp == records[1].timestamp
+    trades, _ = parse_trades(text)
+    assert _rows(trades) == [
+        ("a", 1704187800000, "EURUSD", 1000.0, 1.1),
+        ("b", 1704187800000, "EURUSD", 1000.0, 1.1),
+    ]
 
 
 def test_parse_collects_rejects_with_reasons():
     rows = [f"a,170409960000{k},EURUSD,1000,1.1" for k in range(20)]
     rows.append("a,not-a-time,EURUSD,1000,1.1")
     rows.append("a,1704099600000,EURUSD,0,1.1")
-    records, rejects = parse_trades(HEADER + "\n".join(rows) + "\n")
-    assert len(records) == 20
+    trades, rejects = parse_trades(HEADER + "\n".join(rows) + "\n")
+    assert _rows(trades) == [("a", int(f"170409960000{k}"), "EURUSD", 1000.0, 1.1) for k in range(20)]
     assert len(rejects) == 2
     reasons = [r.reason for r in rejects]
     assert any("unparseable" in r for r in reasons)
     assert any("zero" in r for r in reasons)
+
+
+def test_parse_short_rows_are_counted_rejects():
+    # trader_id and instrument come last, so these rows lose exactly them
+    text = "timestamp,signed_volume,price,instrument,trader_id\n2,5,1.0\n3,5,1.0,EURUSD\n4,5,1.0,EURUSD,b\n"
+    trades, rejects = parse_trades(text, max_reject_fraction=1.0)
+    assert _rows(trades) == [("b", 4, "EURUSD", 5.0, 1.0)]
+    assert [(r.line_no, r.reason, r.raw) for r in rejects] == [
+        (2, "unparseable: list index out of range", "2,5,1.0"),
+        (3, "unparseable: list index out of range", "3,5,1.0,EURUSD"),
+    ]
+
+
+def test_parse_rejects_empty_trader_id():
+    text = HEADER + ",1704099600000,EURUSD,1000,1.1\n  ,1704099600001,EURUSD,1000,1.1\nb,1704099600002,EURUSD,1000,1.1\n"
+    trades, rejects = parse_trades(text, max_reject_fraction=1.0)
+    assert trades.trader_ids == ("b",)
+    assert _rows(trades) == [("b", 1704099600002, "EURUSD", 1000.0, 1.1)]
+    assert [(r.line_no, r.reason) for r in rejects] == [(2, "empty trader_id"), (3, "empty trader_id")]
+
+
+def test_parse_rejects_timestamp_outside_int64():
+    text = HEADER + "a,99999999999999999999,EURUSD,1000,1.1\na,1704099600000,EURUSD,1000,1.1\n"
+    trades, rejects = parse_trades(text, max_reject_fraction=1.0)
+    assert _rows(trades) == [("a", 1704099600000, "EURUSD", 1000.0, 1.1)]
+    assert len(rejects) == 1 and rejects[0].reason.startswith("unparseable: timestamp")
+
+
+def test_trailing_nul_keeps_traders_apart():
+    # a fixed-width numpy string column would strip the NUL and merge the two
+    grid = build_grid("2024-01-01", "2024-01-02")
+    t0 = int(grid.starts[0])
+    trades, _ = parse_trades(HEADER + f"a\x00,{t0 + 1},EURUSD,1000,1.1\na,{t0 + 2},EURUSD,-1000,1.1\n")
+    assert trades.trader_ids == ("a", "a\x00")
+    m = classify_states(trades, grid)
+    assert m.traders == ["a", "a\x00"]
+    assert m.sigma[:, 0].tolist() == [-1, 1]
 
 
 def test_parse_too_many_malformed_is_fatal():
@@ -114,8 +188,9 @@ def test_classify_states_buckets_and_rule():
             f"outside,{t0 - 1000},EURUSD,1000,1.1",
         ]
     )
-    records, _ = parse_trades(text)
-    m = classify_states(records, grid)
+    trades, _ = parse_trades(text)
+    m = classify_states(trades, grid)
+    assert m.traders == ["buyer", "mixed", "outside", "seller"]
     assert m.sigma[m.index_of("buyer"), 0] == 1
     assert m.sigma[m.index_of("seller"), 0] == -1
     assert m.sigma[m.index_of("mixed"), 0] == 2
@@ -227,6 +302,6 @@ def test_size_histogram_tail_counts():
     text = HEADER + "\n".join(
         f"a,{t0 + k},EURUSD,{v},1.1" for k, v in enumerate([500, -1500, 2500, 900])
     )
-    records, _ = parse_trades(text)
-    rows = trade_size_histogram(records, 1000.0)
+    trades, _ = parse_trades(text)
+    rows = trade_size_histogram(trades, 1000.0)
     assert rows == [(0.0, 2, 4), (1000.0, 1, 2), (2000.0, 1, 1)]

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tradeflow.ingest import StateMatrix, build_grid, classify_states, states_from_volumes
+from tradeflow.ingest import StateMatrix, Trades, build_grid, classify_states, states_from_volumes
 from tradeflow.learn import ForestConfig
 from tradeflow.predict import (
     CalibrationSchedule,
@@ -69,14 +69,12 @@ def test_flow_sign_targets_sum_over_all_traders():
 
 def test_vwap_series_and_targets():
     grid = _grid(3)
-    from tradeflow.ingest import TradeRecord
-
     t0, t1 = int(grid.starts[0]), int(grid.starts[1])
-    trades = [
-        TradeRecord("a", t0 + 1, "X", 100.0, 10.0),
-        TradeRecord("b", t0 + 2, "X", -300.0, 20.0),
-        TradeRecord("a", t1 + 1, "X", 100.0, 30.0),
-    ]
+    trades = Trades(
+        trader_ids=("a", "b"), trader=np.array([0, 1, 0], dtype=np.int32),
+        timestamp=np.array([t0 + 1, t0 + 2, t1 + 1]), instruments=("X",), instrument=np.zeros(3, dtype=np.int32),
+        signed_volume=np.array([100.0, -300.0, 100.0]), price=np.array([10.0, 20.0, 30.0]),
+    )
     vwap = vwap_series(trades, grid)
     assert vwap[0] == pytest.approx((100 * 10 + 300 * 20) / 400)
     assert vwap[1] == 30.0

@@ -10,14 +10,20 @@ from tradeflow.synth import (
 )
 
 
+def _columns(trades):
+    return (trades.trader_ids, trades.instruments) + tuple(
+        getattr(trades, c).tolist() for c in ("trader", "timestamp", "instrument", "signed_volume", "price")
+    )
+
+
 def test_generation_is_deterministic():
     spec = MarketSpec(n_weekdays=5, seed=42)
     t1, g1 = generate_market(spec)
     t2, g2 = generate_market(MarketSpec(n_weekdays=5, seed=42))
-    assert t1 == t2
+    assert _columns(t1) == _columns(t2)
     assert np.array_equal(g1.intended_states, g2.intended_states)
     t3, _ = generate_market(MarketSpec(n_weekdays=5, seed=43))
-    assert t1 != t3
+    assert _columns(t1) != _columns(t3)
 
 
 def test_partition_covers_members_and_noise():
@@ -33,10 +39,13 @@ def test_partition_covers_members_and_noise():
 def test_trades_sorted_and_inside_grid():
     spec = MarketSpec(n_weekdays=5, seed=1)
     trades, truth = generate_market(spec)
-    ts = [t.timestamp for t in trades]
-    assert ts == sorted(ts)
-    assert min(ts) >= truth.grid.starts[0]
-    assert max(ts) < truth.grid.ends[-1]
+    ts = trades.timestamp
+    # by (timestamp, trader id), and the id table is sorted
+    assert np.array_equal(np.lexsort((trades.trader, ts)), np.arange(len(trades)))
+    assert list(trades.trader_ids) == sorted(set(truth.partition) | {f"noise{i:05d}" for i in range(1, 11)})
+    assert trades.instruments == ("EURUSD",) and not trades.instrument.any()
+    assert ts.min() >= truth.grid.starts[0]
+    assert ts.max() < truth.grid.ends[-1]
 
 
 def test_full_fidelity_members_realize_intended_states():
@@ -95,7 +104,7 @@ def test_leadlag_inverted_edge():
 
 def test_trade_sizes_are_round_multiples():
     trades, _ = generate_market(MarketSpec(n_weekdays=5, seed=7))
-    sizes = np.array([abs(t.signed_volume) for t in trades])
+    sizes = np.abs(trades.signed_volume)
     assert np.all(sizes % 1000 == 0)
     vals, counts = np.unique(sizes, return_counts=True)
     top = set(vals[np.argsort(counts)[-3:]].tolist())
