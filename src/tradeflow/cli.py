@@ -87,7 +87,7 @@ class RunConfig:
             self.schedule()
             self.forest()
             for day in (self.start_date, self.end_date):  # checks only: an empty range has no days
-                build_grid(day or "2000-01-03", day or "2000-01-03", timedelta(minutes=self.slice_minutes))
+                build_grid(str(day or "2000-01-03"), str(day or "2000-01-03"), timedelta(minutes=self.slice_minutes))
         except ValueError as exc:
             raise SystemExit(f"config error: {exc}") from None
         return self
@@ -133,7 +133,7 @@ def _load_trades(path, instrument=""):
 
 def _grid_from(cfg: RunConfig, trades):
     if cfg.start_date:  # validate() refuses one date without the other
-        start, end = cfg.start_date, cfg.end_date
+        start, end = str(cfg.start_date), str(cfg.end_date)  # YAML reads an unquoted date as a date
     else:
         if not len(trades):
             raise SystemExit("no trades and no explicit start/end dates in config")

@@ -136,7 +136,7 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
             volume = float(row[col["signed_volume"]])
             px = float(row[col["price"]])
             trader_id = row[col["trader_id"]].strip()
-            name = row[col["instrument"]].strip()
+            instrument_id = row[col["instrument"]].strip()
             reason = (
                 "zero signed_volume" if volume == 0
                 else "price must be positive and finite" if not (px > 0 and math.isfinite(px) and math.isfinite(volume))
@@ -149,7 +149,7 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
             rejects.append(RejectedRow(line_no, reason, ",".join(row)))
             continue
         trader.append(traders.setdefault(trader_id, len(traders)))
-        instrument.append(instruments.setdefault(name, len(instruments)))
+        instrument.append(instruments.setdefault(instrument_id, len(instruments)))
         timestamp.append(ts)
         signed_volume.append(volume)
         price.append(px)

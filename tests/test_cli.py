@@ -69,6 +69,7 @@ def test_config_defaults_and_validation(tmp_path):
         # a date range needs both ends, and both must parse
         "start_date: '2024-01-01'\n", "end_date: '2024-02-01'\n",
         "start_date: 'not-a-date'\nend_date: '2024-02-01'\n", "start_date: '2024-01-01'\nend_date: '2024-02-30'\n",
+        "start_date: 2024-01-01\nend_date: 1\n",
     ):
         bad.write_text(text)
         with pytest.raises(SystemExit, match="config error"):
@@ -77,9 +78,11 @@ def test_config_defaults_and_validation(tmp_path):
 
 def test_config_date_range_loads(tmp_path):
     good = tmp_path / "good.yaml"
-    good.write_text("start_date: '2024-01-01'\nend_date: '2024-02-01'\n")
-    cfg = RunConfig.load(str(good))
-    assert len(cli._grid_from(cfg, None)) == 23 * 7
+    # quoted, or unquoted so that YAML reads dates
+    for text in ("start_date: '2024-01-01'\nend_date: '2024-02-01'\n",
+                 "start_date: 2024-01-01\nend_date: 2024-02-01\n"):
+        good.write_text(text)
+        assert len(cli._grid_from(RunConfig.load(str(good)), None)) == 23 * 7
 
 
 def test_instrument_filter_keeps_only_its_traders(tmp_path):

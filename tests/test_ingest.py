@@ -104,7 +104,11 @@ def test_parse_short_rows_are_counted_rejects():
 
 
 def test_parse_rejects_empty_trader_id():
-    text = HEADER + ",1704099600000,EURUSD,1000,1.1\n  ,1704099600001,EURUSD,1000,1.1\nb,1704099600002,EURUSD,1000,1.1\n"
+    text = HEADER + (
+        ",1704099600000,EURUSD,1000,1.1\n"
+        "  ,1704099600001,EURUSD,1000,1.1\n"
+        "b,1704099600002,EURUSD,1000,1.1\n"
+    )
     trades, rejects = parse_trades(text, max_reject_fraction=1.0)
     assert trades.trader_ids == ("b",)
     assert _rows(trades) == [("b", 1704099600002, "EURUSD", 1000.0, 1.1)]
