@@ -43,7 +43,7 @@ from .leadlag import aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import ForestConfig
 from .predict import CalibrationSchedule, _structure, rolling_forecast
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
-from .svn import FdrConfig, LinkCandidate, ValidatedNetwork, build_svn
+from .svn import MIN_WINDOW_SLICES, FdrConfig, LinkCandidate, ValidatedNetwork, build_svn
 from .synth import MarketSpec, PlantedEdge, generate_market
 
 
@@ -73,41 +73,47 @@ class RunConfig:
     market: dict = field(default_factory=dict)
 
     def validate(self):
+        """Refuse, as ``ValueError``, values that would crash, hang or silently corrupt a run."""
         if not 0.01 <= self.rho0 <= 0.1:
-            raise SystemExit(f"config error: rho0 must lie in [0.01, 0.1], got {self.rho0}")
+            raise ValueError(f"rho0 must lie in [0.01, 0.1], got {self.rho0}")
         if self.top_n < 1 or self.min_trades < 0:
-            raise SystemExit("config error: top_n must be >= 1 and min_trades >= 0")
+            raise ValueError("top_n must be >= 1 and min_trades >= 0")
         for key in ("lag_depth", "histogram_bin", "stability_window", "stability_step"):
             if getattr(self, key) <= 0:
-                raise SystemExit(f"config error: {key} must be positive, got {getattr(self, key)}")
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if bool(self.start_date) != bool(self.end_date):
-            raise SystemExit("config error: start_date and end_date must be set together")
-        try:
-            FdrConfig(self.p0)
-            self.schedule()
-            self.forest()
-            for day in (self.start_date, self.end_date):  # checks only: an empty range has no days
-                build_grid(str(day or "2000-01-03"), str(day or "2000-01-03"), timedelta(minutes=self.slice_minutes))
-        except ValueError as exc:
-            raise SystemExit(f"config error: {exc}") from None
+            raise ValueError("start_date and end_date must be set together")
+        FdrConfig(self.p0)
+        self.schedule()
+        self.forest()
+        for day in (self.start_date, self.end_date):
+            if day:
+                datetime.fromisoformat(str(day))  # YAML reads an unquoted date as a date
+        per_day = len(build_grid(  # a Monday: one trading day
+            "2000-01-03", "2000-01-04", timedelta(minutes=self.slice_minutes),
+            time.fromisoformat(self.session_start), time.fromisoformat(self.session_end),
+        ))
+        for key, days in [("window_lengths", w) for w in self.window_lengths] + [("stability_window", self.stability_window)]:
+            if days * per_day < MIN_WINDOW_SLICES:
+                raise ValueError(f"{key} of {days} days is {days * per_day} slices; need at least {MIN_WINDOW_SLICES}")
         return self
 
     @classmethod
     def load(cls, path, overrides=None):
-        data = {}
-        if path:
-            data = yaml.safe_load(Path(path).read_text()) or {}
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise SystemExit(f"config error: unknown keys {sorted(unknown)}")
-        if "window_lengths" in data:
-            data["window_lengths"] = tuple(data["window_lengths"])
-        cfg = cls(**data)
-        for k, v in (overrides or {}).items():
-            if v is not None:
-                setattr(cfg, k, v)
-        return cfg.validate()
+        try:
+            data = (yaml.safe_load(Path(path).read_text()) or {}) if path else {}
+            unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)}")
+            if "window_lengths" in data:
+                data["window_lengths"] = tuple(data["window_lengths"])
+            cfg = cls(**data)
+            for k, v in (overrides or {}).items():
+                if v is not None:
+                    setattr(cfg, k, v)
+            return cfg.validate()
+        except (yaml.YAMLError, ValueError, TypeError) as exc:
+            raise SystemExit(f"config error: {exc}") from None
 
     def forest(self) -> ForestConfig:
         return ForestConfig(n_trees=self.n_trees, min_node_size=self.min_node_size)

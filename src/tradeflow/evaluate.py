@@ -62,7 +62,6 @@ def chou_chu_test(
     method: str = "permutation",
     n_permutations: int = 10_000,
     seed: int = 0,
-    block_length: int | None = None,
 ):
     """Test whether the binary predictions have power on the realized signs.
 
@@ -79,7 +78,7 @@ def chou_chu_test(
     if len(np.unique(b)) < 2:
         return None
     stat = float(np.sum(a * b))
-    L = block_length or max(1, math.ceil(n ** (1.0 / 3.0)))
+    L = max(1, math.ceil(n ** (1.0 / 3.0)))
     if method == "permutation":
         rng = np.random.default_rng(seed)
         nb = math.ceil(n / L)

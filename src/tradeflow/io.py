@@ -34,17 +34,17 @@ def _iso_ms(ms: int) -> str:
     return datetime.fromtimestamp(ms / 1000, tz=timezone.utc).isoformat()
 
 
-def write_state_matrix(out_dir, matrix: StateMatrix, prefix: str = "states"):
+def write_state_matrix(out_dir, matrix: StateMatrix):
     """Write sigma as a trader-by-slice CSV plus companion volume/meta files."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = matrix.grid
-    with open(out_dir / f"{prefix}.csv", "w", newline="") as fh:
+    with open(out_dir / "states.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trader_id"] + [_iso_ms(s) for s in grid.starts])
         for k, t in enumerate(matrix.traders):
             w.writerow([t] + [int(s) for s in matrix.sigma[k]])
-    with open(out_dir / f"{prefix}_volumes.csv", "w", newline="") as fh:
+    with open(out_dir / "states_volumes.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["trader_id", "slice_index", "net_volume", "gross_volume", "n_trades"])
         for k, t in enumerate(matrix.traders):
@@ -62,12 +62,12 @@ def write_state_matrix(out_dir, matrix: StateMatrix, prefix: str = "states"):
         "include_weekends": grid.include_weekends,
         "n_traders": matrix.n_traders,
     }
-    (out_dir / f"{prefix}_meta.json").write_text(json.dumps(meta, indent=1))
+    (out_dir / "states_meta.json").write_text(json.dumps(meta, indent=1))
 
 
-def read_state_matrix(out_dir, prefix: str = "states") -> StateMatrix:
+def read_state_matrix(out_dir) -> StateMatrix:
     out_dir = Path(out_dir)
-    meta = json.loads((out_dir / f"{prefix}_meta.json").read_text())
+    meta = json.loads((out_dir / "states_meta.json").read_text())
     grid = TimeGrid(
         starts=np.array(meta["starts"], dtype=np.int64),
         ends=np.array(meta["ends"], dtype=np.int64),
@@ -79,7 +79,7 @@ def read_state_matrix(out_dir, prefix: str = "states") -> StateMatrix:
         tz=meta["tz"],
         include_weekends=meta["include_weekends"],
     )
-    with open(out_dir / f"{prefix}.csv", newline="") as fh:
+    with open(out_dir / "states.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     traders = [r[0] for r in rows[1:]]
     sigma = np.array([[int(v) for v in r[1:]] for r in rows[1:]], dtype=np.int8)
@@ -88,7 +88,7 @@ def read_state_matrix(out_dir, prefix: str = "states") -> StateMatrix:
     G = np.zeros((n, T))
     counts = np.zeros((n, T), dtype=np.int64)
     tindex = {t: k for k, t in enumerate(traders)}
-    with open(out_dir / f"{prefix}_volumes.csv", newline="") as fh:
+    with open(out_dir / "states_volumes.csv", newline="") as fh:
         rd = csv.DictReader(fh)
         for r in rd:
             k, s = tindex[r["trader_id"]], int(r["slice_index"])
@@ -98,10 +98,10 @@ def read_state_matrix(out_dir, prefix: str = "states") -> StateMatrix:
     return StateMatrix(traders=traders, grid=grid, V=V, G=G, sigma=sigma, counts=counts)
 
 
-def write_svn(out_dir, network, prefix: str = "svn"):
+def write_svn(out_dir, network):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"{prefix}_edges.csv", "w", newline="") as fh:
+    with open(out_dir / "svn_edges.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "j", "state_i", "state_j", "co_count", "p_value"])
         for e in network.edges:
@@ -114,7 +114,7 @@ def write_svn(out_dir, network, prefix: str = "svn"):
         "n_nodes": len(network.nodes),
         "n_edges": len(network.edges),
     }
-    (out_dir / f"{prefix}_meta.json").write_text(json.dumps(meta, indent=1))
+    (out_dir / "svn_meta.json").write_text(json.dumps(meta, indent=1))
 
 
 def write_partition(out_dir, partition: dict, meta: dict | None = None, prefix: str = "partition"):
@@ -135,10 +135,10 @@ def read_partition(path) -> dict:
         return {r["trader_id"]: int(r["group_label"]) for r in rd}
 
 
-def write_leadlag(out_dir, network, adjacency=None, prefix: str = "leadlag"):
+def write_leadlag(out_dir, network, adjacency=None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"{prefix}_edges.csv", "w", newline="") as fh:
+    with open(out_dir / "leadlag_edges.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["from_group", "to_group", "state_from", "state_to", "co_count", "p_value"])
         for e in network.edges:
@@ -150,9 +150,9 @@ def write_leadlag(out_dir, network, adjacency=None, prefix: str = "leadlag"):
         "n_pairs": network.n_pairs,
         "groups": [int(g) for g in network.groups],
     }
-    (out_dir / f"{prefix}_meta.json").write_text(json.dumps(meta, indent=1))
+    (out_dir / "leadlag_meta.json").write_text(json.dumps(meta, indent=1))
     if adjacency is not None:
-        with open(out_dir / f"{prefix}_lambda.csv", "w", newline="") as fh:
+        with open(out_dir / "leadlag_lambda.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["i", "j", "value"])
             ii, jj = np.nonzero(adjacency.matrix)

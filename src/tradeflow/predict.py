@@ -1,10 +1,12 @@
 """Rolling out-of-sample forecasting of flow sign and VWAP direction.
 
-Every trading day the pipeline re-clusters traders on each trailing
-calibration window (SVN then community detection), trains a forest on the
-group-state predictor matrix, predicts every predictable session hour of the
-next day, and combines the per-window predictions by majority vote.  Nothing
-that postdates a prediction slice ever enters its inputs.
+Every ``recalibrate_every`` trading days (daily by default) the forecast
+re-clusters traders on each trailing calibration window (SVN then community
+detection), trains a forest on the group-state predictor matrix, and predicts
+every predictable session hour of the days until that window's next
+recalibration.  The per-window predictions of each slice are combined by
+majority vote.  Nothing that postdates a prediction slice ever enters its
+inputs.
 """
 
 from __future__ import annotations
@@ -128,9 +130,8 @@ def derive_seed(seed: int, day: int, window: int) -> int:
 
 @dataclass
 class _Calibration:
-    partition: dict | None
-    trader_ids: list
     model: object | None
+    votes: dict  # slice index -> predicted class, for the slices this calibration forecasts
 
 
 def _structure(window: StateMatrix, top_n: int, min_trades: int, p0: float, seed: int):
@@ -148,23 +149,34 @@ def _structure(window: StateMatrix, top_n: int, min_trades: int, p0: float, seed
     return active.select_traders(sorted(partition, key=str)), partition
 
 
-def _calibrate(matrix, t0, t1, target, cfg, rng_seed):
+def _calibrate(matrix, t0, t1, t_end, target, cfg, rng_seed):
+    """Calibrate on slices [t0, t1), then predict every slice of [t1, t_end).
+
+    The group states are aggregated once over [t0, t_end): a state reads only
+    its own slice and a feature row only its slice and lags, so the training
+    rows (those whose target slice precedes t1) are the ones a window ending
+    at t1 would give.  The prediction for slice u comes from the feature row
+    at slice u-1; rows whose lags cross a session gap yield no prediction
+    (abstention).
+    """
     window = matrix.slice_window(t0, t1)
     grouped, partition = _structure(window, cfg["top_n"], cfg["min_trades"], cfg["p0"], rng_seed)
     if not partition:
-        return _Calibration(None, [], None)
-    series = aggregate_groups(grouped, partition, cfg["rho0"])
-    X, rows = build_predictors(series.sigma, window.grid, cfg["lag_depth"])
-    target_window = target[t0:t1]
-    y_rows = rows + 1  # row t predicts slice t+1
-    ok = y_rows < (t1 - t0)
-    y = target_window[y_rows[ok]]
-    X = X[ok]
-    finite = ~np.isnan(np.asarray(y, dtype=np.float64))
-    X, y = X[finite], np.asarray(y)[finite].astype(np.int64)
-    if len(X) < 50:
-        return _Calibration(partition, list(grouped.traders), None)
-    return _Calibration(partition, list(grouped.traders), train_forest(X, y, cfg["forest"], seed=rng_seed))
+        return _Calibration(None, {})
+    ext = matrix.slice_window(t0, t_end).select_traders(grouped.traders)
+    series = aggregate_groups(ext, partition, cfg["rho0"])
+    X, rows = build_predictors(series.sigma, ext.grid, cfg["lag_depth"])
+    predicts = rows + t0 + 1  # row t predicts slice t+1
+    train = predicts < t1
+    y = target[predicts[train]]
+    finite = ~np.isnan(y)
+    X_train, y = X[train][finite], y[finite].astype(np.int64)
+    if len(X_train) < 50:
+        return _Calibration(None, {})
+    model = train_forest(X_train, y, cfg["forest"], seed=rng_seed)
+    ahead = ~train & (predicts < t_end)
+    preds = forest_predict_batch(model, X[ahead])
+    return _Calibration(model, dict(zip(predicts[ahead].tolist(), preds.tolist())))
 
 
 def rolling_forecast(
@@ -181,11 +193,13 @@ def rolling_forecast(
     forest_config: ForestConfig = ForestConfig(),
     max_days: int | None = None,
 ):
-    """Run the daily-recalibrated rolling forecast.
+    """Run the rolling forecast, recalibrating every ``schedule.recalibrate_every`` days.
 
-    Returns ``(records, skipped_days)``.  ``matrix`` must cover the full
-    population (targets sum over all traders); per-window feature sets use
-    the activity-filtered traders of each calibration window.
+    Returns ``(records, skipped_days)``: one record per slice of each
+    forecast day, and the days before the shortest window fits.  ``matrix``
+    must cover the full population (targets sum over all traders);
+    per-window feature sets use the activity-filtered traders of each
+    calibration window.
     """
     if target_kind not in ("flow", "vwap"):
         raise ValueError(f"unknown target kind {target_kind!r}")
@@ -210,66 +224,31 @@ def rolling_forecast(
         "forest": forest_config,
     }
     days = matrix.grid.day_slices()
-    records, skipped = [], []
-    cache = {}
-    n_forecast_days = 0
-    for d in range(len(days)):
-        feasible = [w for w in schedule.window_lengths if w <= d]
-        if not feasible:
-            skipped.append(d)
-            continue
-        if max_days is not None and n_forecast_days >= max_days:
-            break
-        n_forecast_days += 1
-        day_rows = days[d]
-        per_slice_votes = {int(t): {} for t in day_rows}
-        for T_in in feasible:
-            key = T_in
-            stale = key not in cache or (d - cache[key][0]) >= schedule.recalibrate_every
-            if stale:
-                t1 = int(days[d - 1][-1]) + 1
-                t0 = int(days[d - T_in][0])
-                cal = _calibrate(matrix, t0, t1, target, cfg, derive_seed(seed, d, T_in))
-                cache[key] = (d, cal, t0)
-            _, cal, t0 = cache[key]
-            preds = _predict_day(matrix, cal, cfg, t0, day_rows)
-            for t, p in preds.items():
-                per_slice_votes[t][T_in] = p
-        for t in day_rows:
-            t = int(t)
-            votes = per_slice_votes[t]
-            combined = majority_vote(votes.values()) if votes else 0
+    first_day = min(schedule.window_lengths, default=len(days))  # the first day a window fits
+    last_day = len(days) if max_days is None else min(len(days), first_day + max_days)
+    every = schedule.recalibrate_every
+    votes = {}  # slice index -> {T_in: predicted class}
+    for T_in in schedule.window_lengths:
+        for d in range(T_in, last_day, every):
+            t0, t1 = int(days[d - T_in][0]), int(days[d][0])
+            t_end = int(days[min(d + every, last_day) - 1][-1]) + 1
+            cal = _calibrate(matrix, t0, t1, t_end, target, cfg, derive_seed(seed, d, T_in))
+            for t, p in cal.votes.items():
+                votes.setdefault(t, {})[T_in] = p
+    records = []
+    for d in range(first_day, last_day):
+        for t in days[d].tolist():
+            slice_votes = votes.get(t, {})
             v_sign = vwap_signs[t - 1] if (vwap_signs is not None and t >= 1) else np.nan
             records.append(
                 ForecastRecord(
                     slice_index=t,
                     slice_end=int(matrix.grid.ends[t]),
-                    per_window={w: votes.get(w, 0) for w in schedule.window_lengths},
-                    combined=combined,
+                    per_window={w: slice_votes.get(w, 0) for w in schedule.window_lengths},
+                    combined=majority_vote(slice_votes.values()) if slice_votes else 0,
                     realized_sign=int(flow_signs[t]),
                     realized_flow=float(total_flow[t]),
                     realized_vwap_sign=None if np.isnan(v_sign) else int(v_sign),
                 )
             )
-    return records, skipped
-
-
-def _predict_day(matrix, cal: _Calibration, cfg, t0: int, day_rows):
-    """Predict each slice of the day from the frozen calibration.
-
-    The prediction for slice u comes from the feature row at slice u-1; rows
-    whose lags cross a session gap yield no prediction (abstention).
-    """
-    if cal.model is None or not cal.partition:
-        return {}
-    t_end = int(day_rows[-1]) + 1
-    ext = matrix.slice_window(t0, t_end).select_traders(cal.trader_ids)
-    series = aggregate_groups(ext, cal.partition, cfg["rho0"])
-    X, rows = build_predictors(series.sigma, ext.grid, cfg["lag_depth"])
-    rows_global = rows + t0
-    day_set = {int(t) for t in day_rows}
-    wanted = np.array([k for k, r in enumerate(rows_global) if int(r) + 1 in day_set], dtype=np.intp)
-    if len(wanted) == 0:
-        return {}
-    preds = forest_predict_batch(cal.model, X[wanted])
-    return {int(rows_global[k]) + 1: int(p) for k, p in zip(wanted, preds)}
+    return records, list(range(min(first_day, len(days))))

@@ -70,6 +70,10 @@ def test_config_defaults_and_validation(tmp_path):
         "start_date: '2024-01-01'\n", "end_date: '2024-02-01'\n",
         "start_date: 'not-a-date'\nend_date: '2024-02-01'\n", "start_date: '2024-01-01'\nend_date: '2024-02-30'\n",
         "start_date: 2024-01-01\nend_date: 1\n",
+        # an unquoted impossible date, a YAML syntax error and values of the wrong type
+        "start_date: 2024-02-30\nend_date: 2024-03-01\n", "top_n: [1\n", "top_n: abc\n", "window_lengths: 45\n",
+        # windows shorter than the 50 slices the co-occurrence tests need (7 slices a day)
+        "window_lengths: [5]\n", "window_lengths: [5, 45]\n", "stability_window: 5\n",
     ):
         bad.write_text(text)
         with pytest.raises(SystemExit, match="config error"):

@@ -193,3 +193,39 @@ def test_schedule_validation():
         CalibrationSchedule(window_lengths=(50, 45))
     with pytest.raises(ValueError):
         CalibrationSchedule(window_lengths=(45,), recalibrate_every=0)
+
+
+@pytest.fixture(scope="module")
+def market_40():
+    return _planted_market(40)
+
+
+@pytest.mark.parametrize(
+    "windows, every, max_days, expected",
+    [
+        # offset cycles, as in the pipeline-csv workload
+        ((10, 15), 10, None, "ad38409f615d50376e6cdbe55628c0f5fc98bf217a56285d8383a20cb0cd853e"),
+        # the longest window never calibrates
+        ((20, 22, 27), 3, 7, "c20faec6451b3765a2debeef243d5c28606ff430337345eec6b6953398d06535"),
+        # max_days beyond the days left
+        ((12,), 4, 100, "8b139971885aaa2c263a0d567dacc469a8d2362e232986f9653f7da42eea837e"),
+        # a window longer than the market
+        ((45,), 1, None, "742e146acb773023b2fda435c6645135d70289a32987119673d7252075fa07ff"),
+    ],
+    ids=["cycles", "cadence-max-days", "max-days-beyond-end", "window-too-long"],
+)
+def test_rolling_forecast_schedules_are_pinned(market_40, windows, every, max_days, expected):
+    # several windows, recalibration cadences and max_days, both targets; the
+    # digests were recorded with the day-by-day loop that re-aggregated the
+    # group states for every forecast day
+    trades, matrix = market_40
+    digest = hashlib.sha256()
+    for kind in ("flow", "vwap"):
+        result = rolling_forecast(
+            matrix, CalibrationSchedule(window_lengths=windows, recalibrate_every=every), target_kind=kind,
+            seed=5, trades=trades, max_days=max_days, top_n=100, min_trades=20, forest_config=ForestConfig(n_trees=10),
+        )
+        digest.update(repr(result).encode())
+    if windows == (45,):
+        assert result == ([], list(range(40)))
+    assert digest.hexdigest() == expected
