@@ -11,6 +11,7 @@ from .community import detect_communities, map_equation_codelength, project_weig
 from .evaluate import (
     TestResult,
     chou_chu_test,
+    forecast_report,
     hourly_condition,
     location_tests,
     performance_series,
@@ -77,6 +78,7 @@ __all__ = [
     "rolling_forecast",
     "TestResult",
     "chou_chu_test",
+    "forecast_report",
     "hourly_condition",
     "location_tests",
     "performance_series",

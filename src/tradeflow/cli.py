@@ -1,14 +1,16 @@
-"""Command-line pipeline: composable stages with file handoff.
+"""Command-line pipeline: config, artifacts and dispatch over the library.
 
 Subcommands: synth, ingest, svn, communities, leadlag, stability, forecast,
-evaluate, pipeline.  ``<stage>_stage(cfg, inputs, out)`` writes a stage's
+evaluate, pipeline; every one takes ``--config`` and ``--out``.
+``<stage>_stage(cfg, inputs, out)`` calls the library, writes a stage's
 artifacts and returns what the next stage needs; ``cmd_<stage>`` reads its
 inputs from upstream artifacts, while ``pipeline`` chains the stage functions
 in memory: it writes the artifacts the stages would and reads none back but
-``forecasts_*.csv``.  A single YAML config file (flat key-value) carries all
-parameters; defaults follow the reference setup (1h slices, rho0=0.01,
-p0=0.05, top 500 traders, >=100 trades, windows 45..90 step 5, 09:00-16:00
-London session).
+``forecasts_*.csv``.  The statistics of ``report.json`` come from
+``evaluate.forecast_report``.  A single YAML config file (flat key-value)
+carries all parameters and is checked at load (``RunConfig.validate``);
+defaults follow the reference setup (1h slices, rho0=0.01, p0=0.05, top 500
+traders, >=100 trades, windows 45..90 step 5, 09:00-16:00 London session).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta, timezone
+from datetime import datetime, time, timedelta
 from pathlib import Path
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 import yaml
@@ -41,7 +43,7 @@ from .ingest import (
 )
 from .leadlag import aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import ForestConfig
-from .predict import CalibrationSchedule, _structure, rolling_forecast
+from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecast
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
 from .svn import MIN_WINDOW_SLICES, FdrConfig, LinkCandidate, ValidatedNetwork, build_svn
 from .synth import MarketSpec, PlantedEdge, generate_market
@@ -61,7 +63,7 @@ class RunConfig:
     p0: float = 0.05
     top_n: int = 500
     min_trades: int = 100
-    window_lengths: tuple = tuple(range(45, 91, 5))
+    window_lengths: tuple = DEFAULT_WINDOWS
     lag_depth: int = 1
     recalibrate_every: int = 1
     n_trees: int = 500
@@ -83,9 +85,14 @@ class RunConfig:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if bool(self.start_date) != bool(self.end_date):
             raise ValueError("start_date and end_date must be set together")
+        try:
+            ZoneInfo(self.timezone)
+        except ZoneInfoNotFoundError:  # a KeyError, which load would not turn into a config error
+            raise ValueError(f"unknown timezone {self.timezone!r}") from None
         FdrConfig(self.p0)
         self.schedule()
         self.forest()
+        self.market_spec().validate()
         for day in (self.start_date, self.end_date):
             if day:
                 datetime.fromisoformat(str(day))  # YAML reads an unquoted date as a date
@@ -123,6 +130,13 @@ class RunConfig:
             window_lengths=tuple(self.window_lengths), recalibrate_every=self.recalibrate_every
         )
 
+    def market_spec(self) -> MarketSpec:
+        m = dict(self.market)
+        edges = tuple(PlantedEdge(**e) for e in m.pop("leadlag_edges", []))
+        if "group_sizes" in m:
+            m["group_sizes"] = tuple(m["group_sizes"])
+        return MarketSpec(leadlag_edges=edges, seed=self.seed, **m)
+
     def config_hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -159,13 +173,7 @@ def _grid_from(cfg: RunConfig, trades):
 
 
 def cmd_synth(args):
-    cfg = RunConfig.load(args.config, {"seed": args.seed})
-    m = dict(cfg.market)
-    edges = [PlantedEdge(**e) for e in m.pop("leadlag_edges", [])]
-    if "group_sizes" in m:
-        m["group_sizes"] = tuple(m["group_sizes"])
-    spec = MarketSpec(leadlag_edges=tuple(edges), seed=cfg.seed, **m)
-    trades, truth = generate_market(spec)
+    trades, truth = generate_market(RunConfig.load(args.config, {"seed": args.seed}).market_spec())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tfio.write_trades(out / "trades.csv", trades)
@@ -254,7 +262,6 @@ def cmd_communities(args):
 
 
 def leadlag_stage(cfg: RunConfig, matrix, partition: dict, out: Path):
-    matrix = matrix.select_traders([t for t in matrix.traders if t in partition])
     net = build_leadlag(aggregate_groups(matrix, partition, cfg.rho0), FdrConfig(cfg.p0))
     tfio.write_leadlag(out, net, expand_trader_leadlag(net, partition))
     print(f"leadlag: {len(net.edges)} validated directed edges -> {out}")
@@ -274,24 +281,17 @@ def cmd_stability(args):
     W, S = cfg.stability_window, cfg.stability_step
     if len(days) < W + S:
         raise SystemExit(f"need at least {W + S} trading days for stability analysis, have {len(days)}")
-    labeled, adjacency, ends = [], [], []
-    prev_labeled, next_fresh = None, None
-    d = W
-    while d <= len(days):
+    labeled, adjacency, ends, next_fresh = [], [], [], 1
+    for d in range(W, len(days) + 1, S):
         t0, t1 = int(days[d - W][0]), int(days[d - 1][-1]) + 1
-        grouped, raw = _structure(matrix.slice_window(t0, t1), cfg.top_n, cfg.min_trades, cfg.p0, cfg.seed)
-        if prev_labeled is None:
-            lab = {t: g for t, g in raw.items()}
-            next_fresh = max(lab.values(), default=0) + 1
-        else:
-            lab, next_fresh = relabel_partition(prev_labeled, raw, next_fresh)
-        series = aggregate_groups(grouped, lab, cfg.rho0) if lab else None
-        lam = expand_trader_leadlag(build_leadlag(series, FdrConfig(cfg.p0)), lab) if series else None
+        window = matrix.slice_window(t0, t1)
+        raw = _structure(window, cfg.top_n, cfg.min_trades, cfg.p0, cfg.seed)
+        # detect_communities labels 1..k, so the first window keeps its own labels
+        lab, next_fresh = relabel_partition(labeled[-1] if labeled else {}, raw, next_fresh)
+        series = aggregate_groups(window, lab, cfg.rho0) if lab else None
+        adjacency.append(expand_trader_leadlag(build_leadlag(series, FdrConfig(cfg.p0)), lab) if series else None)
         labeled.append(lab)
-        adjacency.append(lam)
         ends.append(t1 - 1)
-        prev_labeled = lab
-        d += S
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ari_rows, beta_rows = [], []
@@ -340,7 +340,7 @@ def _hour_of(slice_end_iso, cfg: RunConfig) -> int:
     return start.astimezone(ZoneInfo(cfg.timezone)).hour
 
 
-def _evaluate_records(records, cfg: RunConfig, target: str, seed: int):
+def _evaluate_records(records, cfg: RunConfig, target: str):
     pred = np.array([r["combined"] for r in records])
     if target == "vwap":
         realized = np.array([0 if r["realized_vwap_sign"] is None else r["realized_vwap_sign"] for r in records])
@@ -349,34 +349,8 @@ def _evaluate_records(records, cfg: RunConfig, target: str, seed: int):
         realized = np.array([r["realized_sign"] for r in records])
         flows = np.array([r["realized_flow"] for r in records])
     hours = np.array([_hour_of(r["slice_end"], cfg) for r in records])
-    series = ev.performance_series(pred, realized, flows)
-    report = {"n_slices": len(records), "target": target}
-    try:
-        cc = ev.chou_chu_test(pred, realized, seed=seed)
-        report["chou_chu"] = None if cc is None else dataclasses.asdict(cc)
-    except ValueError as exc:
-        report["chou_chu"] = None
-        report["chou_chu_note"] = str(exc)
-    try:
-        t_res, w_res = ev.location_tests(pred * flows)
-        report["t"] = dataclasses.asdict(t_res)
-        report["wilcoxon"] = None if w_res is None else dataclasses.asdict(w_res)
-    except ValueError as exc:
-        report["t"] = report["wilcoxon"] = None
-        report["location_note"] = str(exc)
-    table, omitted = ev.hourly_condition(pred, realized, flows, hours)
-    report["hourly"] = {
-        str(h): {k: (dataclasses.asdict(v) if isinstance(v, ev.TestResult) else v) for k, v in entry.items()}
-        for h, entry in table.items()
-    }
-    report["hourly_omitted"] = {str(h): note for h, note in omitted.items()}
-    nonzero = pred != 0
-    if nonzero.any():
-        hits = (pred[nonzero] == realized[nonzero]) & (realized[nonzero] != 0)
-        report["accuracy"] = float(np.mean(hits))
-        vals, counts = np.unique(realized[nonzero][realized[nonzero] != 0], return_counts=True)
-        report["base_rate"] = float(counts.max() / counts.sum()) if len(counts) else None
-    return report, series
+    report = {"n_slices": len(records), "target": target, **ev.forecast_report(pred, realized, flows, hours, cfg.seed)}
+    return report, ev.performance_series(pred, realized, flows)
 
 
 def evaluate_stage(cfg: RunConfig, forecasts, out: Path):
@@ -387,8 +361,7 @@ def evaluate_stage(cfg: RunConfig, forecasts, out: Path):
         if not path.exists():
             continue
         records = tfio.read_forecasts(path)
-        rep, series = _evaluate_records(records, cfg, kind, cfg.seed)
-        report[kind] = rep
+        report[kind], series = _evaluate_records(records, cfg, kind)
         rows = [
             (records[k]["slice_end"], series.sign_product[k], series.cum_sign[k],
              series.flow_product[k], series.cum_flow[k], series.cum_realized_flow[k])
@@ -401,7 +374,7 @@ def evaluate_stage(cfg: RunConfig, forecasts, out: Path):
         )
     if not report:
         raise SystemExit(f"missing upstream artifact {forecasts}/forecasts_flow.csv: run the 'forecast' stage first")
-    (out / "report.json").write_text(json.dumps(report, indent=1))
+    (out / "report.json").write_text(json.dumps(report, indent=1, default=dataclasses.asdict))
     print(f"evaluate: report for {sorted(report)} -> {out}")
 
 
@@ -439,61 +412,46 @@ def cmd_pipeline(args):
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="tradeflow", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None)
+    common.add_argument("--out", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic market with known structure")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("synth", parents=[common], help="generate a synthetic market with known structure")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse trades and build the state matrix")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("ingest", parents=[common], help="parse trades and build the state matrix")
     p.add_argument("--trades", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("svn", help="build the validated synchronicity network")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("svn", parents=[common], help="build the validated synchronicity network")
     p.add_argument("--states", required=True, help="directory produced by ingest")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_svn)
 
-    p = sub.add_parser("communities", help="detect trader groups")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("communities", parents=[common], help="detect trader groups")
     p.add_argument("--edges", required=True, help="svn_edges.csv from the svn stage")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_communities)
 
-    p = sub.add_parser("leadlag", help="validate the group lead-lag network")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("leadlag", parents=[common], help="validate the group lead-lag network")
     p.add_argument("--states", required=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_leadlag)
 
-    p = sub.add_parser("stability", help="windowed re-clustering: ARI, beta, river chart data")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("stability", parents=[common], help="windowed re-clustering: ARI, beta, river chart data")
     p.add_argument("--states", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("forecast", help="rolling out-of-sample forecasts")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("forecast", parents=[common], help="rolling out-of-sample forecasts")
     p.add_argument("--states", required=True)
     p.add_argument("--trades", default=None, help="trade CSV; enables the VWAP target")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("evaluate", help="statistical evaluation of forecasts")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("evaluate", parents=[common], help="statistical evaluation of forecasts")
     p.add_argument("--forecasts", required=True, help="directory holding forecasts_*.csv")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("pipeline", help="run every stage end to end and emit a manifest")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("pipeline", parents=[common], help="run every stage end to end and emit a manifest")
     p.add_argument("--trades", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pipeline)
 
     args = ap.parse_args(argv)

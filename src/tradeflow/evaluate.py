@@ -3,7 +3,9 @@
 Cumulative performance series, a serial-dependence-robust test of binary
 predictive power (seeded circular-block-permutation reference method, with a
 Newey-West asymptotic variant behind a method flag), one-sided location
-tests, rank-statistic ROC-AUC and hourly conditioning.
+tests, rank-statistic ROC-AUC and hourly conditioning.  ``sample_tests`` is
+the one battery (predictive power plus location) run on a sample;
+``forecast_report`` runs it on a whole forecast and on each hour of it.
 """
 
 from __future__ import annotations
@@ -186,6 +188,26 @@ def roc_auc(scores, outcomes) -> float:
     return float((ranks[: len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0) / (len(pos) * len(neg)))
 
 
+def sample_tests(predicted, realized_sign, realized_flow, seed: int = 0, n_permutations: int = 10_000) -> dict:
+    """The predictive-power test on the signs and the location tests on ``predicted * realized_flow``.
+
+    Returns ``{"chou_chu", "t", "wilcoxon"}`` (TestResults or None).  A test
+    the sample cannot support reads None, and its reason goes under
+    ``chou_chu_note`` or ``location_note``.
+    """
+    out = {}
+    try:
+        out["chou_chu"] = chou_chu_test(predicted, realized_sign, seed=seed, n_permutations=n_permutations)
+    except ValueError as exc:
+        out["chou_chu"], out["chou_chu_note"] = None, str(exc)
+    try:
+        out["t"], out["wilcoxon"] = location_tests(np.asarray(predicted) * np.asarray(realized_flow, dtype=np.float64))
+    except ValueError as exc:
+        out["t"] = out["wilcoxon"] = None
+        out["location_note"] = str(exc)
+    return out
+
+
 def hourly_condition(
     predicted,
     realized_sign,
@@ -195,11 +217,11 @@ def hourly_condition(
     seed: int = 0,
     n_permutations: int = 10_000,
 ):
-    """Run the predictive-power and location tests within each session hour.
+    """Run :func:`sample_tests` within each session hour, without its notes.
 
     Hours with fewer than ``min_per_hour`` observations are omitted with a
-    note.  Returns ``(table, omitted)`` where ``table`` maps hour to a dict
-    of TestResults.
+    note.  Returns ``(table, omitted)`` where ``table`` maps hour to
+    ``{"n", "chou_chu", "t", "wilcoxon"}``.
     """
     predicted = np.asarray(predicted)
     realized_sign = np.asarray(realized_sign)
@@ -212,20 +234,31 @@ def hourly_condition(
         if n < min_per_hour:
             omitted[int(h)] = f"only {n} observations (need {min_per_hour})"
             continue
-        entry = {"n": n}
-        try:
-            entry["chou_chu"] = chou_chu_test(
-                predicted[sel], realized_sign[sel], seed=seed, n_permutations=n_permutations
-            )
-        except ValueError:
-            entry["chou_chu"] = None
-        perf = predicted[sel] * realized_flow[sel]
-        try:
-            entry["t"], entry["wilcoxon"] = location_tests(perf)
-        except ValueError:
-            entry["t"], entry["wilcoxon"] = None, None
-        table[int(h)] = entry
+        tests = sample_tests(predicted[sel], realized_sign[sel], realized_flow[sel], seed, n_permutations)
+        table[int(h)] = {"n": n, **{k: v for k, v in tests.items() if not k.endswith("_note")}}
     return table, omitted
+
+
+def forecast_report(predicted, realized_sign, realized_flow, hours, seed: int = 0) -> dict:
+    """The evaluation of one forecast sample, in report order.
+
+    :func:`sample_tests` on the whole sample (seeded with ``seed``), then
+    ``hourly``/``hourly_omitted`` from :func:`hourly_condition` (string hour
+    keys), then, when some prediction is non-zero, ``accuracy`` (hit rate of
+    the non-zero predictions) and ``base_rate`` (share of the commonest
+    realized sign among them).
+    """
+    p, r = np.asarray(predicted), np.asarray(realized_sign)
+    report = sample_tests(p, r, realized_flow, seed=seed)
+    table, omitted = hourly_condition(p, r, realized_flow, hours)
+    report["hourly"] = {str(h): entry for h, entry in table.items()}
+    report["hourly_omitted"] = {str(h): note for h, note in omitted.items()}
+    nonzero = p != 0
+    if nonzero.any():
+        report["accuracy"] = float(np.mean((p[nonzero] == r[nonzero]) & (r[nonzero] != 0)))
+        _, counts = np.unique(r[nonzero][r[nonzero] != 0], return_counts=True)
+        report["base_rate"] = float(counts.max() / counts.sum()) if len(counts) else None
+    return report
 
 
 def hourly_covariate_auc(day_index, hours, correct, covariate_by_day):

@@ -31,6 +31,8 @@ class CalibrationSchedule:
     recalibrate_every: int = 1  # in trading days
 
     def __post_init__(self):
+        if not self.window_lengths:
+            raise ValueError("at least one window length is required")
         if list(self.window_lengths) != sorted(set(self.window_lengths)):
             raise ValueError("window lengths must be strictly increasing")
         if self.recalibrate_every < 1:
@@ -137,16 +139,13 @@ class _Calibration:
 def _structure(window: StateMatrix, top_n: int, min_trades: int, p0: float, seed: int):
     """Infer the trader groups of one window: activity filter, SVN, communities.
 
-    Returns ``(grouped, partition)``: the active traders that received a
-    group, in id order, and the mapping trader -> group.  A window with fewer
-    than two active traders gives ``(None, {})``.
+    Returns the mapping trader -> group of the active traders that received a
+    group; a window with fewer than two active traders gives ``{}``.
     """
     active = filter_active(window, top_n, min_trades)
     if active.n_traders < 2:
-        return None, {}
-    net = build_svn(active, FdrConfig(p0))
-    partition = detect_communities(project_weighted(net), seed=seed)
-    return active.select_traders(sorted(partition, key=str)), partition
+        return {}
+    return detect_communities(project_weighted(build_svn(active, FdrConfig(p0))), seed=seed)
 
 
 def _calibrate(matrix, t0, t1, t_end, target, cfg, rng_seed):
@@ -159,11 +158,10 @@ def _calibrate(matrix, t0, t1, t_end, target, cfg, rng_seed):
     at slice u-1; rows whose lags cross a session gap yield no prediction
     (abstention).
     """
-    window = matrix.slice_window(t0, t1)
-    grouped, partition = _structure(window, cfg["top_n"], cfg["min_trades"], cfg["p0"], rng_seed)
+    partition = _structure(matrix.slice_window(t0, t1), cfg["top_n"], cfg["min_trades"], cfg["p0"], rng_seed)
     if not partition:
         return _Calibration(None, {})
-    ext = matrix.slice_window(t0, t_end).select_traders(grouped.traders)
+    ext = matrix.slice_window(t0, t_end)
     series = aggregate_groups(ext, partition, cfg["rho0"])
     X, rows = build_predictors(series.sigma, ext.grid, cfg["lag_depth"])
     predicts = rows + t0 + 1  # row t predicts slice t+1

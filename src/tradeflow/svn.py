@@ -17,7 +17,7 @@ as when every pair is tested in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -60,7 +60,6 @@ class ValidatedNetwork:
     n_tests: int
     p0: float
     T: int
-    window: tuple = field(default=None)
 
 
 def _log_factorials(T: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import shlex
 from collections import Counter
@@ -74,6 +75,9 @@ def test_config_defaults_and_validation(tmp_path):
         "start_date: 2024-02-30\nend_date: 2024-03-01\n", "top_n: [1\n", "top_n: abc\n", "window_lengths: 45\n",
         # windows shorter than the 50 slices the co-occurrence tests need (7 slices a day)
         "window_lengths: [5]\n", "window_lengths: [5, 45]\n", "stability_window: 5\n",
+        # an unknown zone, a market block that synth would refuse, and no window at all
+        "timezone: Mars/Olympus\n", "market: {bogus: 1}\n", "market: {seed: 3}\n", "market: {n_weekdays: 0}\n",
+        "window_lengths: []\n",
     ):
         bad.write_text(text)
         with pytest.raises(SystemExit, match="config error"):
@@ -157,13 +161,75 @@ def test_pipeline_report_structure(pipeline_run):
     assert "hourly" in flow
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_pipeline_evaluation_is_pinned(pipeline_run):
+    _, out = pipeline_run
+    names = ("report.json", "performance_flow.csv", "performance_vwap.csv")
+    assert {name: _sha256(out / name) for name in names} == {
+        "report.json": "753c6640060016086829f1171e4d55e092da93d2f663f8424b5794309ffe2402",
+        "performance_flow.csv": "5426a96dcc51d664b53ca5d01ad8a6ea43ea7393891c64ae6a77b9f021b27c13",
+        "performance_vwap.csv": "5ac4461d6559ade60ba028f76a1cbc8d230fde0add680ebe9952798d8ec806bf",
+    }
+
+
 def test_stability_command(pipeline_run, cfg_path, tmp_path):
     _, out = pipeline_run
     stab = tmp_path / "stab"
     assert main(["stability", "--config", cfg_path, "--states", str(out), "--out", str(stab)]) == 0
-    assert (stab / "ari.csv").exists()
-    assert (stab / "beta.csv").exists()
-    assert (stab / "river.csv").exists()
+    assert {p.name: _sha256(p) for p in stab.iterdir()} == {
+        "ari.csv": "fe0b9077cb9cf835c35fad0733273bc974162e2b2f08a9d25343b642190fe04b",
+        "beta.csv": "fe0b9077cb9cf835c35fad0733273bc974162e2b2f08a9d25343b642190fe04b",
+        "partition_latest.csv": "30c1c07c9c896862a3db89bf316563c2947545525c865bb56576fca551e316d8",
+        "river.csv": "3571530cbabe8d4de80a42fde09f1f0f799bbea8df5f350a74a4734829f96188",
+    }
+
+
+FORECAST_HEADER = "slice_end,window_length,predicted,combined,realized_sign,realized_flow,realized_vwap_sign\n"
+
+
+def _crafted_forecasts():
+    """Hour 9: 40 slices, 20 predicted; hour 10: 40, all predicted; hour 11: 5 (London is on UTC in January)."""
+    rows = []
+    for hour, n, n_pred in ((9, 40, 20), (10, 40, 40), (11, 5, 5)):
+        for k in range(n):
+            flow = ((k * 7919 + hour * 104729) % 2001 - 1000) / 8.0 or 0.5
+            sign = 1 if flow > 0 else -1
+            pred = (sign if k % 3 else -sign) if k < n_pred else 0
+            end = f"2024-01-{k % 28 + 1:02d}T{hour + 1:02d}:{k // 28:02d}:00+00:00"
+            rows.append(f"{end},45,{pred},{pred},{sign},{flow!r},\n")
+    return FORECAST_HEADER + "".join(rows)
+
+
+def test_evaluate_report_is_pinned(tmp_path):
+    reports = {}
+    for label, text in (("crafted", _crafted_forecasts()), ("empty", FORECAST_HEADER)):
+        d = tmp_path / label
+        d.mkdir()
+        (d / "forecasts_flow.csv").write_text(text)
+        assert main(["evaluate", "--forecasts", str(d), "--out", str(d)]) == 0
+        reports[label] = json.loads((d / "report.json").read_text())["flow"]
+        reports[label]["sha256"] = _sha256(d / "report.json"), _sha256(d / "performance_flow.csv")
+    crafted = reports["crafted"]
+    # 40 rows but only 20 non-zero predictions: the Chou-Chu test cannot run, and hourly entries carry no note
+    assert list(crafted["hourly"]["9"]) == ["n", "chou_chu", "t", "wilcoxon"]
+    assert crafted["hourly"]["9"]["chou_chu"] is None and crafted["hourly"]["9"]["t"]["n"] == 40
+    assert crafted["hourly"]["10"]["chou_chu"]["n"] == 40
+    assert crafted["hourly_omitted"] == {"11": "only 5 observations (need 30)"}
+    assert crafted["sha256"] == ("286ac40637479413bb38da99576c0445fa3d52aa6e7ed1c8cc27da25e3ff8afc",
+                                 "90b1c4b1b420f0f8a0272a48546a29bc5390d6a19cdcf596cfe26d8d442f91fb")
+    assert reports["empty"] == {
+        "n_slices": 0, "target": "flow",
+        "chou_chu": None, "chou_chu_note": "need n >= 30 binary pairs, got 0",
+        "t": None, "wilcoxon": None, "location_note": "need n >= 10 values, got 0",
+        "hourly": {}, "hourly_omitted": {},
+        "sha256": ("878a4715de8cd599c1cdf6b5d73ddfd0dee1df719de602962cbaa1c29e244f5e",
+                   "357b73d88a35be51db85892e00428ffbf64719241cfcc1d5f072b42ac2c62e57"),
+    }
+    assert list(reports["empty"])[:7] == ["n_slices", "target", "chou_chu", "chou_chu_note", "t", "wilcoxon",
+                                          "location_note"]
 
 
 def test_synth_ground_truth_written(pipeline_run):
