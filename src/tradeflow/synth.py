@@ -59,6 +59,11 @@ class MarketSpec:
                 raise ValueError(f"planted edge references unknown group: {e}")
         if self.n_weekdays < 1:
             raise ValueError("n_weekdays must be positive")
+        if self.n_noise_traders < 0 or self.member_rate < 0:
+            raise ValueError("n_noise_traders and member_rate must be non-negative")
+        if not 0.0 <= self.neutral_prob <= 1.0:
+            raise ValueError(f"neutral_prob must lie in [0, 1], got {self.neutral_prob}")
+        date.fromisoformat(str(self.start_date))  # YAML reads an unquoted date as a date
 
 
 @dataclass
@@ -70,7 +75,7 @@ class GroundTruth:
 
 
 def _grid_for(spec: MarketSpec) -> TimeGrid:
-    start = date.fromisoformat(spec.start_date)
+    start = date.fromisoformat(str(spec.start_date))
     day, n = start, 0
     while n < spec.n_weekdays:
         if day.weekday() < 5:

@@ -75,8 +75,10 @@ def test_config_defaults_and_validation(tmp_path):
         "start_date: 2024-02-30\nend_date: 2024-03-01\n", "top_n: [1\n", "top_n: abc\n", "window_lengths: 45\n",
         # windows shorter than the 50 slices the co-occurrence tests need (7 slices a day)
         "window_lengths: [5]\n", "window_lengths: [5, 45]\n", "stability_window: 5\n",
-        # an unknown zone, a market block that synth would refuse, and no window at all
+        # an unknown zone, market blocks that synth would crash on, and no window at all
         "timezone: Mars/Olympus\n", "market: {bogus: 1}\n", "market: {seed: 3}\n", "market: {n_weekdays: 0}\n",
+        "market: {n_noise_traders: -1}\n", "market: {member_rate: -1}\n", "market: {neutral_prob: 2}\n",
+        "market: {start_date: bogus}\n",
         "window_lengths: []\n",
     ):
         bad.write_text(text)

@@ -1,3 +1,5 @@
+from datetime import date
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,13 @@ def test_spec_validation():
         MarketSpec(alpha=1.0).validate()
     with pytest.raises(ValueError):
         MarketSpec(leadlag_edges=(PlantedEdge(0, 9),)).validate()
+
+
+def test_start_date_may_be_a_date():
+    # YAML reads an unquoted start_date of a config's market block as a date
+    a = generate_market(MarketSpec(n_weekdays=3, start_date=date(2024, 1, 8)))[1].grid
+    b = generate_market(MarketSpec(n_weekdays=3, start_date="2024-01-08"))[1].grid
+    assert a.starts.tolist() == b.starts.tolist() and len(a) == 21
 
 
 def test_price_drift_follows_planted_flow():
