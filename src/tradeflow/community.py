@@ -2,12 +2,19 @@
 
 The validated multi-edge network is collapsed to a weighted graph (buy-sell
 labelled links excluded), then partitioned by greedily minimizing the
-two-level map equation of an undirected random walk.
+two-level map equation of an undirected random walk (Rosvall & Bergstrom
+2008): seeded node moves and module merges, each accepted when it lowers
+the codelength by more than 1e-12 bits.  The search keeps every module's
+codelength term and the exit term in its state, so a candidate move costs
+the terms of the module it joins alone; each score is summed in one fixed
+order, so the search makes the same moves, to the bit, as scoring every
+move from scratch.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,22 +107,28 @@ def map_equation_codelength(graph: WeightedGraph, assignment) -> float:
     w2 = strengths.sum()
     if w2 == 0:
         return 0.0
-    return _codelength(graph.adj, strengths, w2, np.asarray(assignment))
+    return _codelength(_links(graph.adj), strengths / w2, w2, assignment)
 
 
-def _codelength(adj, strengths, w2, labels) -> float:
-    """L(M) of the nodes in ``adj`` with visit rates ``strengths / w2``."""
-    p = np.asarray(strengths) / w2
-    modules = np.unique(labels)
-    cut = np.zeros(len(modules))
-    pm = np.zeros(len(modules))
-    mod_index = {m: k for k, m in enumerate(modules)}
-    for k in range(len(adj)):
-        mk = mod_index[labels[k]]
-        pm[mk] += p[k]
-        for nbr, w in adj[k].items():
-            if labels[nbr] != labels[k]:
-                cut[mk] += w
+def _links(adj) -> tuple:
+    """Every directed link (k, nbr, weight) as three arrays, in node then adjacency order."""
+    src = np.repeat(np.arange(len(adj)), [len(row) for row in adj])
+    dst = np.fromiter((nbr for row in adj for nbr in row), dtype=np.int64, count=len(src))
+    w = np.fromiter((w for row in adj for w in row.values()), dtype=np.float64, count=len(src))
+    return src, dst, w
+
+
+def _codelength(links, p, w2, labels) -> float:
+    """L(M) of a graph given as ``_links`` with visit rates ``p``.
+
+    ``bincount`` adds in index order, so each module's visit rate and cut are
+    summed node by node in the order a Python loop over the nodes would use.
+    """
+    src, dst, w = links
+    modules, mod = np.unique(np.asarray(labels), return_inverse=True)
+    pm = np.bincount(mod, weights=p, minlength=len(modules))
+    boundary = mod[src] != mod[dst]
+    cut = np.bincount(mod[src[boundary]], weights=w[boundary], minlength=len(modules))
     q = cut / w2
     sum_q = q.sum()
     # expanded entropy form: the exit rate q_i is coded both in the index
@@ -137,10 +150,19 @@ class _Partitioner:
     or a merge is scored from the modules it touches alone, and undoing a
     change scores its negative up to ``plogp`` round-off, far below the
     ``1e-12`` a change must gain.  Node visit rates cancel in every score.
+
+    Each module's codelength term (``_term`` of its cut and volume) and the
+    index codebook's exit term (``plogp`` of the total cut over ``w2``) are
+    cached and change only in ``_commit``, so a score computes the new side
+    alone.  A score is always summed in one order: the term change of each
+    module in ``changed`` order (for a move, the module left, then the
+    module joined), then plus the new exit term, then minus the old one.  A
+    cached term is the value ``_term`` would compute afresh, so every score,
+    and with it every accepted move and merge, keeps its bits.
     """
 
     def __init__(self, adj, strengths, w2):
-        self.adj = adj
+        self.adj = [tuple(row.items()) for row in adj]
         self.s = strengths
         self.w2 = w2
         self.n = len(adj)
@@ -159,14 +181,16 @@ class _Partitioner:
         self.vol, self.cut = {}, {}
         for k, m in enumerate(labels):
             self.vol[m] = self.vol.get(m, 0) + self.s[k]
-            self.cut[m] = self.cut.get(m, 0) + sum(w for nbr, w in self.adj[k].items() if labels[nbr] != m)
+            self.cut[m] = self.cut.get(m, 0) + sum(w for nbr, w in self.adj[k] if labels[nbr] != m)
         self.total = sum(self.cut.values())
+        self.term = {m: self._term(c, self.vol[m]) for m, c in self.cut.items()}
+        self.exit_term = _plp(self.total / self.w2)
 
     def _weights_to(self, k) -> dict:
         """Summed weight of node k's links into each module."""
-        w_to = {}
-        for nbr, w in self.adj[k].items():
-            m = self.labels[nbr]
+        labels, w_to = self.labels, {}
+        for nbr, w in self.adj[k]:
+            m = labels[nbr]
             w_to[m] = w_to.get(m, 0) + w
         return w_to
 
@@ -182,6 +206,31 @@ class _Partitioner:
             b: (self.cut[b] + s_k - 2 * w_to[b], self.vol[b] + s_k),
         }
 
+    def _move_deltas(self, k, w_to) -> list:
+        """(codelength change, b) of moving node k into each other module b it links to, b ascending.
+
+        The ``_moved`` arithmetic with the side of k's own module a, which
+        does not depend on b, computed once: each b costs one module term
+        and one exit term.
+        """
+        a, s_k, w2 = self.labels[k], self.s[k], self.w2
+        if a in w_to and len(w_to) == 1:
+            return []
+        cut, vol, term, log2 = self.cut, self.vol, self.term, math.log2
+        c = cut[a] + 2 * w_to.get(a, 0) - s_k
+        d_a = self._term(c, vol[a] - s_k) - term[a]
+        total_a = self.total + (c - cut[a])
+        out = []
+        for b in sorted(w_to):
+            if b == a:
+                continue
+            c = cut[b] + s_k - 2 * w_to[b]
+            # _term(c, vol[b] + s_k) and _plp(t) inlined, in the same operations: the calls cost more
+            x, y, t = c / w2, (c + (vol[b] + s_k)) / w2, (total_a + (c - cut[b])) / w2
+            t_b = -2.0 * (x * log2(x) if x > 0 else 0.0) + (y * log2(y) if y > 0 else 0.0)
+            out.append((d_a + (t_b - term[b]) + (t * log2(t) if t > 0 else 0.0) - self.exit_term, b))
+        return out
+
     def _merged(self, a, b, link_ab) -> dict:
         """Module (cut, volume) after merging module b into a; their shared links become internal."""
         return {a: (self.cut[a] + self.cut[b] - 2 * link_ab, self.vol[a] + self.vol[b]), b: (0, 0)}
@@ -191,8 +240,8 @@ class _Partitioner:
         total, delta = self.total, 0.0
         for m, (c, v) in changed.items():
             total += c - self.cut[m]
-            delta += self._term(c, v) - self._term(self.cut[m], self.vol[m])
-        return delta + _plp(total / self.w2) - _plp(self.total / self.w2)
+            delta += self._term(c, v) - self.term[m]
+        return delta + _plp(total / self.w2) - self.exit_term
 
     def _term(self, cut, vol) -> float:
         return -2.0 * _plp(cut / self.w2) + _plp((cut + vol) / self.w2)
@@ -201,6 +250,8 @@ class _Partitioner:
         for m, (c, v) in changed.items():
             self.total += c - self.cut[m]
             self.cut[m], self.vol[m] = c, v
+            self.term[m] = self._term(c, v)
+        self.exit_term = _plp(self.total / self.w2)
 
     def _move_pass(self, rng):
         """Node-level local moves until no single move improves L."""
@@ -210,32 +261,34 @@ class _Partitioner:
         while improving:
             improving = False
             rng.shuffle(order)
-            for k in order:
-                a = self.labels[k]
+            for k in order.tolist():
                 w_to = self._weights_to(k)
                 best_delta, best = 0.0, None
-                for b in sorted(m for m in w_to if m != a):
-                    changed = self._moved(k, b, w_to)
-                    delta = self._delta(changed)
+                for delta, b in self._move_deltas(k, w_to):
                     if delta < best_delta - 1e-12:
-                        best_delta, best = delta, (b, changed)
+                        best_delta, best = delta, b
                 if best is not None:
-                    self.labels[k] = best[0]
-                    self._commit(best[1])
+                    self._commit(self._moved(k, best, w_to))
+                    self.labels[k] = best
                     improving = any_gain = True
         return any_gain
 
     def _aggregate_pass(self):
-        """Merge whole modules along inter-module links while that lowers L."""
-        any_gain = False
+        """Merge whole modules along inter-module links while that lowers L.
+
+        The summed links between modules are built once and carried through
+        each merge; node labels follow the merges at the end of the pass.
+        """
+        labels, link = self.labels, {m: {} for m in self.vol}
+        for k, a in enumerate(labels):
+            for nbr, w in self.adj[k]:
+                b = labels[nbr]
+                if b != a:
+                    link[a][b] = link[a].get(b, 0) + w
+        into = {}
         improving = True
         while improving:
             improving = False
-            link = {m: {} for m in self.vol}
-            for k, a in enumerate(self.labels):
-                for b, w in self._weights_to(k).items():
-                    if b != a:
-                        link[a][b] = link[a].get(b, 0) + w
             for a, b in sorted((a, b) for a in link for b in link[a] if a < b):
                 if b not in link.get(a, ()):
                     continue  # a or b was merged away in this sweep
@@ -247,9 +300,15 @@ class _Partitioner:
                         if c != a:
                             del link[c][b]
                             link[c][a] = link[a][c] = link[a].get(c, 0) + w
-                    self.labels[:] = [a if m == b else m for m in self.labels]
-                    improving = any_gain = True
-        return any_gain
+                    into[b] = a
+                    improving = True
+        for b in into:
+            a = into[b]
+            while a in into:
+                a = into[a]
+            into[b] = a
+        labels[:] = [into.get(m, m) for m in labels]
+        return bool(into)
 
 
 def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10) -> dict:
@@ -261,6 +320,7 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
     """
     if graph.n_nodes == 0:
         return {}
+    _check_links(graph)
     strengths = [graph.strength(k) for k in range(graph.n_nodes)]
     w2 = sum(strengths)
     assignment_idx = [None] * graph.n_nodes
@@ -273,11 +333,12 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
         else:
             comp_strengths = [strengths[g] for g in comp]
             part = _Partitioner(adj, comp_strengths, w2)
+            links, p = _links(adj), np.asarray(comp_strengths) / w2
             best, best_L = None, None
             for r in range(n_restarts):
                 rng = np.random.default_rng([seed, r])
                 labels = _canonical(part.optimize(rng))
-                L = _codelength(adj, comp_strengths, w2, labels)
+                L = _codelength(links, p, w2, labels)
                 key = (round(L, 12), labels)
                 if best is None or key < (round(best_L, 12), best):
                     best, best_L = labels, L
@@ -286,6 +347,17 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
             assignment_idx[g] = next_label + best[k] + 1
         next_label += n_mods
     return {graph.nodes[k]: assignment_idx[k] for k in range(graph.n_nodes)}
+
+
+def _check_links(graph: WeightedGraph):
+    """Refuse links the map equation cannot score: one-sided, unequal or not positive finite."""
+    for k, row in enumerate(graph.adj):
+        for nbr, w in row.items():
+            if not (isinstance(w, numbers.Real) and 0 < w < math.inf):
+                raise ValueError(f"link {k} -> {nbr} has weight {w!r}; weights must be positive finite numbers")
+            if nbr not in range(graph.n_nodes) or graph.adj[nbr].get(k) != w:
+                raise ValueError(f"link {k} -> {nbr} of weight {w!r} has no link {nbr} -> {k} of equal weight; "
+                                 "the adjacency must be symmetric")
 
 
 def _canonical(labels) -> list:

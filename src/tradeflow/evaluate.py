@@ -221,7 +221,9 @@ def hourly_condition(
 
     Hours with fewer than ``min_per_hour`` observations are omitted with a
     note.  Returns ``(table, omitted)`` where ``table`` maps hour to
-    ``{"n", "chou_chu", "t", "wilcoxon"}``.
+    ``{"n", "chou_chu", "t", "wilcoxon"}``.  Every hour's Chou-Chu
+    permutations start from the same ``seed``; :func:`forecast_report`
+    passes none, so report hours are always seeded with 0.
     """
     predicted = np.asarray(predicted)
     realized_sign = np.asarray(realized_sign)
@@ -244,7 +246,8 @@ def forecast_report(predicted, realized_sign, realized_flow, hours, seed: int = 
 
     :func:`sample_tests` on the whole sample (seeded with ``seed``), then
     ``hourly``/``hourly_omitted`` from :func:`hourly_condition` (string hour
-    keys), then, when some prediction is non-zero, ``accuracy`` (hit rate of
+    keys; its permutations are seeded with 0 whatever ``seed`` is, so a
+    seed sweep leaves every hourly Chou-Chu p-value as it is), then, when some prediction is non-zero, ``accuracy`` (hit rate of
     the non-zero predictions) and ``base_rate`` (share of the commonest
     realized sign among them).
     """

@@ -66,6 +66,12 @@ def write_state_matrix(out_dir, matrix: StateMatrix):
 
 
 def read_state_matrix(out_dir) -> StateMatrix:
+    """Read what ``write_state_matrix`` wrote; ``ValueError`` naming the file if its shape disagrees.
+
+    Every ``states.csv`` row holds one state per slice of ``states_meta.json``,
+    and every ``states_volumes.csv`` row names a trader of ``states.csv`` and a
+    slice index in ``[0, T)``.
+    """
     out_dir = Path(out_dir)
     meta = json.loads((out_dir / "states_meta.json").read_text())
     grid = TimeGrid(
@@ -79,19 +85,29 @@ def read_state_matrix(out_dir) -> StateMatrix:
         tz=meta["tz"],
         include_weekends=meta["include_weekends"],
     )
-    with open(out_dir / "states.csv", newline="") as fh:
+    T = len(grid)
+    path = out_dir / "states.csv"
+    with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    for line, r in enumerate(rows[1:], start=2):
+        if len(r) != 1 + T:
+            raise ValueError(f"{path} line {line}: {len(r) - 1} states, but states_meta.json has {T} slices")
     traders = [r[0] for r in rows[1:]]
     sigma = np.array([[int(v) for v in r[1:]] for r in rows[1:]], dtype=np.int8)
-    n, T = len(traders), len(grid)
+    n = len(traders)
     V = np.zeros((n, T))
     G = np.zeros((n, T))
     counts = np.zeros((n, T), dtype=np.int64)
     tindex = {t: k for k, t in enumerate(traders)}
-    with open(out_dir / "states_volumes.csv", newline="") as fh:
+    path = out_dir / "states_volumes.csv"
+    with open(path, newline="") as fh:
         rd = csv.DictReader(fh)
         for r in rd:
-            k, s = tindex[r["trader_id"]], int(r["slice_index"])
+            k, s = tindex.get(r["trader_id"]), int(r["slice_index"])
+            if k is None:
+                raise ValueError(f"{path} line {rd.line_num}: trader {r['trader_id']!r} is not in states.csv")
+            if not 0 <= s < T:
+                raise ValueError(f"{path} line {rd.line_num}: slice_index {s} is outside [0, {T})")
             V[k, s] = float(r["net_volume"])
             G[k, s] = float(r["gross_volume"])
             counts[k, s] = int(r["n_trades"])

@@ -5,7 +5,11 @@ import pytest
 
 from tradeflow.community import (
     WeightedGraph,
+    _codelength,
+    _links,
     _Partitioner,
+    _plogp,
+    _plp,
     detect_communities,
     map_equation_codelength,
     project_weighted,
@@ -13,6 +17,139 @@ from tradeflow.community import (
 from tradeflow.ingest import classify_states, filter_active
 from tradeflow.svn import FdrConfig, LinkCandidate, ValidatedNetwork, build_svn
 from tradeflow.synth import MarketSpec, generate_market
+
+
+# The partitioner and codelength loop that the cached-term search replaced,
+# kept as the reference: every move is scored from scratch through
+# ``_moved``/``_delta``, and ``_aggregate_pass`` rebuilds the module links
+# each sweep and relabels the nodes after each merge.
+
+
+def _reference_codelength(adj, strengths, w2, labels) -> float:
+    p = np.asarray(strengths) / w2
+    modules = np.unique(labels)
+    cut = np.zeros(len(modules))
+    pm = np.zeros(len(modules))
+    mod_index = {m: k for k, m in enumerate(modules)}
+    for k in range(len(adj)):
+        mk = mod_index[labels[k]]
+        pm[mk] += p[k]
+        for nbr, w in adj[k].items():
+            if labels[nbr] != labels[k]:
+                cut[mk] += w
+    q = cut / w2
+    sum_q = q.sum()
+    L = (
+        _plogp(np.array([sum_q])).item()
+        - 2.0 * _plogp(q).sum()
+        - _plogp(p).sum()
+        + _plogp(q + pm).sum()
+    )
+    return float(L)
+
+
+class _ReferencePartitioner:
+    def __init__(self, adj, strengths, w2):
+        self.adj = adj
+        self.s = strengths
+        self.w2 = w2
+        self.n = len(adj)
+
+    def optimize(self, rng):
+        self._load(list(range(self.n)))
+        improved = True
+        while improved:
+            improved = self._move_pass(rng)
+            merged = self._aggregate_pass()
+            improved = improved or merged
+        return self.labels
+
+    def _load(self, labels):
+        self.labels = labels
+        self.vol, self.cut = {}, {}
+        for k, m in enumerate(labels):
+            self.vol[m] = self.vol.get(m, 0) + self.s[k]
+            self.cut[m] = self.cut.get(m, 0) + sum(w for nbr, w in self.adj[k].items() if labels[nbr] != m)
+        self.total = sum(self.cut.values())
+
+    def _weights_to(self, k) -> dict:
+        w_to = {}
+        for nbr, w in self.adj[k].items():
+            m = self.labels[nbr]
+            w_to[m] = w_to.get(m, 0) + w
+        return w_to
+
+    def _moved(self, k, b, w_to) -> dict:
+        a, s_k = self.labels[k], self.s[k]
+        return {
+            a: (self.cut[a] + 2 * w_to.get(a, 0) - s_k, self.vol[a] - s_k),
+            b: (self.cut[b] + s_k - 2 * w_to[b], self.vol[b] + s_k),
+        }
+
+    def _merged(self, a, b, link_ab) -> dict:
+        return {a: (self.cut[a] + self.cut[b] - 2 * link_ab, self.vol[a] + self.vol[b]), b: (0, 0)}
+
+    def _delta(self, changed) -> float:
+        total, delta = self.total, 0.0
+        for m, (c, v) in changed.items():
+            total += c - self.cut[m]
+            delta += self._term(c, v) - self._term(self.cut[m], self.vol[m])
+        return delta + _plp(total / self.w2) - _plp(self.total / self.w2)
+
+    def _term(self, cut, vol) -> float:
+        return -2.0 * _plp(cut / self.w2) + _plp((cut + vol) / self.w2)
+
+    def _commit(self, changed):
+        for m, (c, v) in changed.items():
+            self.total += c - self.cut[m]
+            self.cut[m], self.vol[m] = c, v
+
+    def _move_pass(self, rng):
+        any_gain = False
+        order = np.arange(self.n)
+        improving = True
+        while improving:
+            improving = False
+            rng.shuffle(order)
+            for k in order:
+                a = self.labels[k]
+                w_to = self._weights_to(k)
+                best_delta, best = 0.0, None
+                for b in sorted(m for m in w_to if m != a):
+                    changed = self._moved(k, b, w_to)
+                    delta = self._delta(changed)
+                    if delta < best_delta - 1e-12:
+                        best_delta, best = delta, (b, changed)
+                if best is not None:
+                    self.labels[k] = best[0]
+                    self._commit(best[1])
+                    improving = any_gain = True
+        return any_gain
+
+    def _aggregate_pass(self):
+        any_gain = False
+        improving = True
+        while improving:
+            improving = False
+            link = {m: {} for m in self.vol}
+            for k, a in enumerate(self.labels):
+                for b, w in self._weights_to(k).items():
+                    if b != a:
+                        link[a][b] = link[a].get(b, 0) + w
+            for a, b in sorted((a, b) for a in link for b in link[a] if a < b):
+                if b not in link.get(a, ()):
+                    continue
+                changed = self._merged(a, b, link[a][b])
+                if self._delta(changed) < -1e-12:
+                    self._commit(changed)
+                    del link[a][b]
+                    for c, w in link.pop(b).items():
+                        if c != a:
+                            del link[c][b]
+                            link[c][a] = link[a][c] = link[a].get(c, 0) + w
+                    self.labels[:] = [a if m == b else m for m in self.labels]
+                    improving = any_gain = True
+        return any_gain
 
 
 def _net(edge_specs):
@@ -90,7 +227,8 @@ def test_move_score_is_exact_codelength_difference():
     g = WeightedGraph(nodes=[0, 1, 2, 3], adj=[{1: 1}, {0: 1, 2: 1}, {1: 1, 3: 1}, {2: 1}])
     part = _Partitioner(g.adj, [g.strength(k) for k in range(4)], 6)
     part._load([0, 0, 1, 1])
-    score = part._delta(part._moved(1, 1, part._weights_to(1)))
+    [(score, target)] = part._move_deltas(1, part._weights_to(1))
+    assert target == 1
     exact = map_equation_codelength(g, [0, 1, 1, 1]) - map_equation_codelength(g, [0, 0, 1, 1])
     assert exact == pytest.approx(0.2516, abs=1e-4)
     assert score == pytest.approx(exact, rel=0, abs=1e-12)
@@ -155,14 +293,51 @@ def test_move_and_merge_scores_are_exact():
         base = map_equation_codelength(g, labels)
         for k in range(g.n_nodes):
             w_to = part._weights_to(k)
-            for b in set(w_to) - {labels[k]}:
+            scores = part._move_deltas(k, w_to)
+            assert [b for _, b in scores] == sorted(set(w_to) - {labels[k]})
+            for score, b in scores:
                 moved = labels[:k] + [b] + labels[k + 1:]
                 exact = map_equation_codelength(g, moved) - base
-                assert part._delta(part._moved(k, b, w_to)) == pytest.approx(exact, rel=0, abs=1e-12)
+                assert score == pytest.approx(exact, rel=0, abs=1e-12)
         for a, b in itertools.combinations(sorted(set(labels)), 2):
             link = sum(w for k in range(g.n_nodes) if labels[k] == a for n, w in g.adj[k].items() if labels[n] == b)
             exact = map_equation_codelength(g, [a if m == b else m for m in labels]) - base
             assert part._delta(part._merged(a, b, link)) == pytest.approx(exact, rel=0, abs=1e-12)
+
+
+def _planted_graph(seed):
+    """30-250 nodes in planted blocks of 8-30, integer weights 1-5; 15 % of link draws ignore the blocks."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 251))
+    block = np.sort(rng.integers(0, max(2, n // int(rng.integers(8, 31))), size=n))
+    adj = [dict() for _ in range(n)]
+    for _ in range(int(n * rng.uniform(2, 10))):
+        i = int(rng.integers(0, n))
+        j = int(rng.choice(np.flatnonzero(block == block[i]))) if rng.random() < 0.85 else int(rng.integers(0, n))
+        if i != j:
+            adj[i][j] = adj[j][i] = adj[i].get(j, 0) + int(rng.integers(1, 6))
+    return WeightedGraph(nodes=list(range(n)), adj=adj)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_random_graph(), _clique_pair(4), _clique_pair(10), _clique_pair(4, bridges=2),
+     _graph([(k, (k + 1) % 8) for k in range(8)]), _graph([(i, j) for i in range(3) for j in range(3, 6)])]
+    + [_planted_graph(seed) for seed in range(24)],
+    ids=["random40", "two-k4", "two-k10", "two-k4-two-bridges", "ring8", "k33"] + [f"planted{s}" for s in range(24)],
+)
+def test_partitioner_equals_reference_to_the_bit(g):
+    strengths = [g.strength(k) for k in range(g.n_nodes)]
+    w2 = sum(strengths)
+    part, ref = _Partitioner(g.adj, strengths, w2), _ReferencePartitioner(g.adj, strengths, w2)
+    links, p = _links(g.adj), np.asarray(strengths) / w2
+    for r in range(10):
+        labels = part.optimize(np.random.default_rng([5, r]))
+        assert labels == ref.optimize(np.random.default_rng([5, r]))
+        assert part.cut == ref.cut and part.vol == ref.vol and part.total == ref.total
+        assert part.term == {m: ref._term(c, ref.vol[m]) for m, c in ref.cut.items()}
+        assert part.exit_term == _plp(ref.total / w2)
+        assert _codelength(links, p, w2, labels) == _reference_codelength(g.adj, strengths, w2, labels)
 
 
 def test_detect_pinned_partition():
@@ -239,3 +414,15 @@ def test_detect_handles_disconnected_components():
 
 def test_detect_empty_graph():
     assert detect_communities(WeightedGraph(nodes=[], adj=[]), seed=0) == {}
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [[{1: 2}, {}, {0: 1}], [{1: 2}, {0: 3}], [{1: 2}, {0: 2, 2: 1}, {}], [{3: 1}, {}],
+     [{1: -2}, {0: -2}], [{1: 0}, {0: 0}], [{1: float("nan")}, {0: float("nan")}], [{1: float("inf")}, {0: float("inf")}],
+     [{1: "2"}, {0: "2"}]],
+    ids=["one-sided", "unequal", "one-sided-second", "unknown-node", "negative", "zero", "nan", "inf", "string"],
+)
+def test_detect_refuses_malformed_links(adj):
+    with pytest.raises(ValueError, match="symmetric|positive finite"):
+        detect_communities(WeightedGraph(nodes=list(range(len(adj))), adj=adj), seed=0)

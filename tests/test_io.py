@@ -53,6 +53,38 @@ def test_state_matrix_round_trip(tmp_path, market):
     assert back.grid.tz == m.grid.tz
 
 
+
+def _drop_last_state(text):
+    return "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines()) + "\n"
+
+
+def _edit_first_volume_row(field, value):
+    def edit(text):
+        lines = text.splitlines()
+        row = lines[1].split(",")
+        row[field] = value
+        return "\n".join(lines[:1] + [",".join(row)] + lines[2:]) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("states.csv", _drop_last_state, r"states\.csv line 2: \d+ states, but states_meta\.json has \d+ slices"),
+        ("states_volumes.csv", _edit_first_volume_row(0, "nobody"), r"states_volumes\.csv line 2: trader 'nobody'"),
+        ("states_volumes.csv", _edit_first_volume_row(1, "-1"), r"states_volumes\.csv line 2: slice_index -1 is outside"),
+        ("states_volumes.csv", _edit_first_volume_row(1, "100000"), r"states_volumes\.csv line 2: slice_index 100000"),
+    ],
+    ids=["short-states-row", "unknown-trader", "negative-slice", "slice-past-end"],
+)
+def test_state_matrix_shape_mismatch_is_refused(tmp_path, market, name, edit, message):
+    trades, truth = market
+    tfio.write_state_matrix(tmp_path, classify_states(trades, truth.grid))
+    path = tmp_path / name
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=message):
+        tfio.read_state_matrix(tmp_path)
+
 def test_partition_round_trip(tmp_path):
     part = {"a": 1, "b": 1, "c": 2}
     tfio.write_partition(tmp_path, part, meta={"n_modules": 2})
