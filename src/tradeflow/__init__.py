@@ -31,7 +31,8 @@ from .ingest import (
 from .leadlag import aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import (
     ForestConfig,
-    forest_predict,
+    forest_predict_batch,
+    forest_votes,
     permutation_importance,
     train_forest,
     train_logistic,
@@ -68,7 +69,8 @@ __all__ = [
     "leadlag_overlap_beta",
     "relabel_partition",
     "ForestConfig",
-    "forest_predict",
+    "forest_predict_batch",
+    "forest_votes",
     "permutation_importance",
     "train_forest",
     "train_logistic",

@@ -159,6 +159,10 @@ class _Partitioner:
     module joined), then plus the new exit term, then minus the old one.  A
     cached term is the value ``_term`` would compute afresh, so every score,
     and with it every accepted move and merge, keeps its bits.
+
+    After each move sweep and each aggregation pass that changed the
+    partition, the codelength is recomputed from scratch and must have gone
+    down: a stale cache would otherwise accept moves forever.
     """
 
     def __init__(self, adj, strengths, w2):
@@ -166,15 +170,26 @@ class _Partitioner:
         self.s = strengths
         self.w2 = w2
         self.n = len(adj)
+        self.links, self.p = _links(adj), np.asarray(strengths) / w2
 
     def optimize(self, rng):
         self._load(list(range(self.n)))
+        self.L = _codelength(self.links, self.p, self.w2, self.labels)
         improved = True
         while improved:
             improved = self._move_pass(rng)
             merged = self._aggregate_pass()
+            if merged:
+                self._confirm_gain()
             improved = improved or merged
         return self.labels
+
+    def _confirm_gain(self):
+        L = _codelength(self.links, self.p, self.w2, self.labels)
+        if not L < self.L:
+            raise RuntimeError(f"map-equation search accepted changes that took L from {self.L!r} to {L!r} bits; "
+                               "its cached module terms are stale")
+        self.L = L
 
     def _load(self, labels):
         self.labels = labels
@@ -271,6 +286,8 @@ class _Partitioner:
                     self._commit(self._moved(k, best, w_to))
                     self.labels[k] = best
                     improving = any_gain = True
+            if improving:
+                self._confirm_gain()
         return any_gain
 
     def _aggregate_pass(self):
@@ -333,12 +350,11 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
         else:
             comp_strengths = [strengths[g] for g in comp]
             part = _Partitioner(adj, comp_strengths, w2)
-            links, p = _links(adj), np.asarray(comp_strengths) / w2
             best, best_L = None, None
             for r in range(n_restarts):
                 rng = np.random.default_rng([seed, r])
                 labels = _canonical(part.optimize(rng))
-                L = _codelength(links, p, w2, labels)
+                L = _codelength(part.links, part.p, w2, labels)
                 key = (round(L, 12), labels)
                 if best is None or key < (round(best_L, 12), best):
                     best, best_L = labels, L

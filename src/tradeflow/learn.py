@@ -26,6 +26,31 @@ levels alone; padding the empty levels with 0.0 would not, because numpy
 sums a row of eight or more entries pairwise.  Prediction, out-of-bag votes
 and permutation importance share one traversal that moves every (row, tree)
 query down one level per step.
+
+The split candidates are the sets ``rngs[t].choice(K, m, replace=False)``
+would give, drawn in bulk by replaying numpy's own algorithm on each tree's
+stream of 32-bit words: PCG64 serves the low half of each 64-bit output,
+then the high half, and a half left over from an earlier call (the
+bootstrap's ``integers`` often leaves one) waits in the generator's state and
+comes first.  numpy's ``choice`` draws by Floyd's sampling (Bentley & Floyd
+1987), for j = K - m ... K - 1 a draw v on [0, j], keeping v or, if v is
+already kept, j; it then shuffles the m picks with a draw on [0, i] for
+i = m - 1 ... 1, which only uses up words here because the grower sorts the
+picks.  Each draw on [0, j] is Lemire's (2019): one word w gives
+``(w * (j + 1)) >> 32``, and numpy rejects w and takes the next word while
+the product's low 32 bits are below ``2**32 mod (j + 1)``; a bound of 0
+takes no word.  So one call takes a fixed number of words (2m - 1, or 2m - 2
+when K = m) unless a word is rejected, which at K <= 60 happens with odds
+of about j / 2**32 per draw, and the i-th set of a tree depends only on its
+generator, not on the shape of the tree.  `_CandidateDraws` computes a block
+of sets per tree at once (32, fewer when a call takes over 32 words) from
+raw words (``random_raw``) with array arithmetic, replays a tree whose block holds a rejected word one draw at a time from the
+rejected set on (`_replay_choice`), and carries unused words over to the
+tree's next block.  For more than 10,000 columns with m > K // 50 numpy
+instead shuffles the tail of ``arange(K)`` (a partial Fisher-Yates shuffle,
+same bounded draws), which `_replay_choice` replays draw by draw.  Nothing
+reads the generators after growing, so the words drawn ahead and never used
+change no output.
 """
 
 from __future__ import annotations
@@ -118,6 +143,120 @@ def _split_impurities(table, n_occupied, node_size):
     return imp
 
 
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _floyd(K, m) -> bool:
+    """Whether numpy's ``choice(K, m, replace=False)`` samples by Floyd's
+    algorithm; otherwise it shuffles the tail of ``arange(K)``."""
+    return K <= 10_000 or m <= K // 50
+
+
+def _replay_choice(words, bit_generator, K, m, calls):
+    """Sorted results of ``calls`` calls of ``choice(K, m, replace=False)``,
+    one draw at a time, on the 32-bit words ``words`` and then on the halves
+    of ``bit_generator``'s raw outputs, low half first.  Returns the sets and
+    the words left over."""
+    words, pos = [int(w) for w in words], 0
+
+    def draw(j):  # Lemire's bounded draw on [0, j], as numpy makes it for j < 2**32 - 1
+        nonlocal pos
+        if j == 0:
+            return 0
+        while True:
+            if pos == len(words):
+                raw = int(bit_generator.random_raw())
+                words.extend((raw & 0xFFFFFFFF, raw >> 32))
+            product = words[pos] * (j + 1)
+            pos += 1
+            if product & 0xFFFFFFFF >= (1 << 32) % (j + 1):
+                return product >> 32
+
+    sets = []
+    for _ in range(calls):
+        if _floyd(K, m):
+            # Floyd's sampling, then numpy's shuffle of the picks, whose draws only use up words
+            kept, seen = [], set()
+            for j in range(K - m, K):
+                v = draw(j)
+                kept.append(j if v in seen else v)
+                seen.add(kept[-1])
+            for i in range(m - 1, 0, -1):
+                draw(i)
+        else:
+            # a partial Fisher-Yates shuffle of arange(K) that keeps its last m entries
+            swapped = {}
+            for i in range(K - 1, max(K - m, 1) - 1, -1):
+                j = draw(i)
+                swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+            kept = [swapped.get(i, i) for i in range(K - m, K)]
+        sets.append(sorted(kept))
+    return np.array(sets, dtype=np.int64).reshape(calls, m), np.array(words[pos:], dtype=np.uint64)
+
+
+class _CandidateDraws:
+    """Each tree's split candidates: ``take`` gives the sorted set that each
+    listed tree's next ``rngs[t].choice(K, m, replace=False)`` would give.
+    Sets are drawn ahead, a block per tree at a time (see the module docstring)."""
+
+    def __init__(self, rngs, K, m):
+        self.rngs, self.K, self.m = rngs, K, m
+        # j + 1 for each draw on [0, j] of one call that takes a word: Floyd's
+        # draws (none for j = 0), then the shuffle's
+        self.span = np.r_[max(K - m, 1):K, m - 1:0:-1].astype(np.uint64) + np.uint64(1)
+        self.threshold = np.uint64(1 << 32) % self.span  # a word is rejected below it
+        self.block = max(1, min(32, 1024 // max(len(self.span), 1)))
+        self.sets = np.empty((len(rngs), self.block, m), dtype=np.int64)
+        self.served = np.full(len(rngs), self.block)
+        # per tree, the 32-bit words drawn but not used yet: first the half
+        # that the generator keeps from its last 64-bit output
+        self.carry = []
+        for rng in rngs:
+            state = rng.bit_generator.state
+            self.carry.append(np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint64))
+
+    def take(self, trees) -> np.ndarray:
+        empty = trees[self.served[trees] == self.block]
+        if empty.size:
+            self._refill(empty)
+        out = self.sets[trees, self.served[trees]]
+        self.served[trees] += 1
+        return out
+
+    def _words(self, t, count) -> np.ndarray:
+        """Tree t's next ``count`` 32-bit words."""
+        raw = self.rngs[t].bit_generator.random_raw(max(count - len(self.carry[t]) + 1, 0) // 2)
+        words = np.concatenate([self.carry[t], np.column_stack([raw & _LOW, raw >> np.uint64(32)]).ravel()])
+        self.carry[t] = words[count:]
+        return words[:count]
+
+    def _refill(self, trees):
+        B, W, K, m = self.block, len(self.span), self.K, self.m
+        self.served[trees] = 0
+        if not _floyd(K, m):
+            for t in trees.tolist():
+                self.sets[t], self.carry[t] = _replay_choice(self.carry[t], self.rngs[t].bit_generator, K, m, B)
+            return
+        words = np.array([self._words(t, B * W) for t in trees.tolist()], dtype=np.uint64).reshape(len(trees), B, W)
+        product = words * self.span
+        rejected = (product & _LOW) < self.threshold
+        v = (product[:, :, : m - (K == m)] >> np.uint64(32)).astype(np.int64)
+        if K == m:
+            v = np.concatenate([np.zeros((len(trees), B, 1), dtype=np.int64), v], axis=2)
+        # Floyd's rule: keep the draw on [0, j], or j when the draw is already kept
+        kept = np.empty_like(v)
+        for i in range(m):
+            dup = (kept[:, :, :i] == v[:, :, i, None]).any(axis=2)
+            kept[:, :, i] = np.where(dup, K - m + i, v[:, :, i])
+        kept.sort(axis=2)
+        self.sets[trees] = kept
+        # a rejected word shifts every later draw of the tree: replay from its set on
+        for i in np.flatnonzero(rejected.any(axis=(1, 2))).tolist():
+            t, s = int(trees[i]), int(np.flatnonzero(rejected[i].any(axis=1))[0])
+            rest = np.concatenate([words[i, s:].ravel(), self.carry[t]])
+            self.sets[t, s:], self.carry[t] = _replay_choice(rest, self.rngs[t].bit_generator, K, m, B - s)
+
+
 def _grow_forest(Xenc, ycls, boots, rngs, mtry, min_node_size, n_levels, n_classes) -> Trees:
     """Grow one tree per (bootstrap, generator) pair, all trees in lockstep."""
     T, n, K, C = len(boots), len(Xenc), Xenc.shape[1], n_classes
@@ -135,6 +274,7 @@ def _grow_forest(Xenc, ycls, boots, rngs, mtry, min_node_size, n_levels, n_class
     # one record per visited node: (tree, preorder index, parent, level, feature, counts...)
     records = [np.empty((0, 5 + C), dtype=np.int64)]
     m = min(mtry, K)
+    draws = _CandidateDraws(rngs, K, m)
     tree = np.arange(T)
     while tree.size:
         depth[tree] -= 1
@@ -144,7 +284,7 @@ def _grow_forest(Xenc, ycls, boots, rngs, mtry, min_node_size, n_levels, n_class
         grow = np.flatnonzero((size >= min_node_size) & (counts.max(axis=1) < size))
         if grow.size:
             g = len(grow)
-            cand = np.sort([rngs[t].choice(K, size=m, replace=False) for t in tree[grow].tolist()], axis=1)
+            cand = draws.take(tree[grow])
             slot = np.repeat(np.arange(g), size[grow])
             pos = _segments(start[grow], size[grow])
             r = rows[pos]
@@ -282,19 +422,21 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
     return np.bincount(rows * C + pred, minlength=len(X) * C).reshape(len(X), C) / T
 
 
-def forest_predict(model: ForestModel, row):
-    """Predict one row; returns (class, vote fractions).
-
-    Vote ties resolve to the smallest class value.
-    """
-    votes = forest_votes(model, np.atleast_2d(row))[0]
-    cls = model.classes[int(np.argmax(votes))]
-    return cls, votes
-
-
 def forest_predict_batch(model: ForestModel, X) -> np.ndarray:
+    """Per-row plurality class; vote ties resolve to the smallest class value."""
     votes = forest_votes(model, X)
     return model.classes[np.argmax(votes, axis=1)]
+
+
+def _training_set(model: ForestModel, X, y):
+    """X and y as arrays, refused unless they have the shape of the model's training set."""
+    X, y = np.asarray(X), np.asarray(y)
+    if X.shape != (model.n_rows, model.n_features):
+        raise ValueError(f"X has shape {X.shape}, but the model was trained on {model.n_rows} rows "
+                         f"of {model.n_features} columns")
+    if len(y) != len(X):
+        raise ValueError(f"X has {len(X)} rows but y has {len(y)} labels")
+    return X, y
 
 
 def _oob_votes(model: ForestModel, X) -> np.ndarray:
@@ -307,19 +449,11 @@ def _oob_votes(model: ForestModel, X) -> np.ndarray:
     return np.bincount(rows * C + pred, minlength=len(Xenc) * C).reshape(len(Xenc), C)
 
 
-def oob_predictions(model: ForestModel, X) -> np.ndarray:
-    """Ensemble OOB class per training row: the plurality of the trees that
-    left it out of bag.  A row that every bootstrap drew has no vote and gets
-    ``classes[0]``; `oob_accuracy` leaves such rows out."""
-    if model.degenerate:
-        return np.full(len(X), model.classes[0])
-    return model.classes[np.argmax(_oob_votes(model, X), axis=1)]
-
-
 def oob_accuracy(model: ForestModel, X, y) -> float:
     """Share of rows whose OOB class is right, over the rows with at least one
-    OOB vote (Breiman 2001); a degenerate model scores its class on every row."""
-    y = np.asarray(y)
+    OOB vote (Breiman 2001); a degenerate model scores its class on every row.
+    X and y must be the training set."""
+    X, y = _training_set(model, X, y)
     if model.degenerate:
         return float(np.mean(y == model.classes[0]))
     votes = _oob_votes(model, X)
@@ -344,9 +478,9 @@ def permutation_importance(model: ForestModel, X, y, seed: int = 0) -> Importanc
 
     importance(c) = mean over trees of (OOB error with column c permuted
     minus plain OOB error); permutations are seeded per (tree, column).
+    X and y must be the training set.
     """
-    X = np.asarray(X)
-    y = np.asarray(y)
+    X, y = _training_set(model, X, y)
     K = X.shape[1]
     if model.degenerate:
         return ImportanceReport(importance=np.zeros(K), ranks=np.arange(1, K + 1))

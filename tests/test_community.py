@@ -269,6 +269,36 @@ def test_symmetric_equal_cost_graphs_terminate(g, monkeypatch):
     assert map_equation_codelength(g, part) <= one + 1e-9
 
 
+def _stale_exit_term(self, changed):
+    for m, (c, v) in changed.items():
+        self.total += c - self.cut[m]
+        self.cut[m], self.vol[m] = c, v
+        self.term[m] = self._term(c, v)
+
+
+def _stale_module_terms(self, changed):
+    for m, (c, v) in changed.items():
+        self.total += c - self.cut[m]
+        self.cut[m], self.vol[m] = c, v
+    self.exit_term = _plp(self.total / self.w2)
+
+
+@pytest.mark.parametrize("stale_commit", [_stale_exit_term, _stale_module_terms])
+def test_stale_score_cache_fails_instead_of_hanging(stale_commit, monkeypatch):
+    # with a cache that no longer matches the partition, accepted moves stop
+    # lowering the true codelength and the sweeps looped forever
+    commits = []
+
+    def counted(self, changed):
+        commits.append(changed)
+        assert len(commits) < 100_000, "the search did not stop"
+        stale_commit(self, changed)
+
+    monkeypatch.setattr(_Partitioner, "_commit", counted)
+    with pytest.raises(RuntimeError, match="stale"):
+        detect_communities(_planted_graph(0), seed=0)
+
+
 def _random_graph(n=40, links=300, seed=3):
     """Four planted blocks of ten, integer weights 1-3, sparse links between blocks."""
     rng = np.random.default_rng(seed)

@@ -3,16 +3,16 @@ import pytest
 
 from tradeflow.learn import (
     ForestConfig,
+    _CandidateDraws,
     _encode,
     _grow_forest,
+    _oob_votes,
     _split_impurities,
     adjusted_rank_ratio,
-    forest_predict,
     forest_predict_batch,
     forest_votes,
     logistic_predict,
     oob_accuracy,
-    oob_predictions,
     permutation_importance,
     train_forest,
     train_logistic,
@@ -128,6 +128,12 @@ def _reference_importance(trees, oobs, Xenc, ycls, seed):
             err = np.mean(_tree_predict(tree, shuffled) != ycls[oob])
             deltas[c] += err - base_err
     return deltas / max(used, 1)
+
+
+def _oob_classes(model, X):
+    """The forest's OOB class per training row: the plurality of the trees
+    that left it out of bag (``classes[0]`` for a row with no vote)."""
+    return model.classes[np.argmax(_oob_votes(model, X), axis=1)]
 
 
 def _preorder(tree):
@@ -289,7 +295,7 @@ def test_forest_equals_recursive_reference(matrix, config, seed):
     Xq = np.vstack([X[::7], np.full((1, X.shape[1]), 99)])  # last row: every level unseen
     assert np.array_equal(forest_votes(model, Xq), _reference_votes(ref_trees, _encode(Xq, model.levels)[0], C))
     ref_oob = model.classes[np.argmax(_reference_oob_votes(ref_trees, ref_oobs, Xenc, C), axis=1)]
-    assert np.array_equal(oob_predictions(model, X), ref_oob)
+    assert np.array_equal(_oob_classes(model, X), ref_oob)
     report = permutation_importance(model, X, y, seed=3)
     assert np.array_equal(report.importance, _reference_importance(ref_trees, ref_oobs, Xenc, ycls, 3))
 
@@ -314,25 +320,180 @@ def test_split_needs_more_than_a_rounding_gain(gain):
     assert len(trees) == 1 and len(trees.feature) == len(_preorder(ref))
 
 
+# Split-candidate draws: `_CandidateDraws` must give, tree by tree, the sorted
+# sets of numpy's `Generator.choice(K, m, replace=False)`.  The scalar
+# reference below replays numpy's algorithm on a stream of 32-bit words in the
+# plainest form; it is itself checked against `choice` on real generators.
+
+
+class _CraftedGenerator:
+    """Stands in for a `Generator`: its bit generator serves fixed raw 64-bit
+    outputs and starts with ``half`` as the buffered 32-bit word, if given."""
+
+    def __init__(self, raw, half=None):
+        self.bit_generator = self
+        self.raw = [int(r) for r in raw]
+        self.state = {"has_uint32": int(half is not None), "uinteger": half or 0}
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.raw.pop(0)
+        out, self.raw = self.raw[:size], self.raw[size:]
+        assert len(out) == size, "crafted words ran out"
+        return np.array(out, dtype=np.uint64)
+
+
+def _word_stream(bit_generator, half=None):
+    """A generator's 32-bit words: the buffered half, then each raw output's low and high half."""
+    if half is not None:
+        yield half
+    while True:
+        raw = int(bit_generator.random_raw())
+        yield raw & 0xFFFFFFFF
+        yield raw >> 32
+
+
+def _lemire(words, j, rejected):
+    """numpy's bounded draw on [0, j] for 0 < j < 2**32 - 1; counts rejected words."""
+    threshold = (0xFFFFFFFF - j) % (j + 1)
+    while True:
+        product = next(words) * (j + 1)
+        if product & 0xFFFFFFFF >= threshold:
+            return product >> 32
+        rejected.append(j)
+
+
+def _reference_choice(words, K, m, rejected):
+    """Sorted ``choice(K, m, replace=False)`` drawn from the word iterator ``words``."""
+    draw = lambda j: _lemire(words, j, rejected) if j else 0  # noqa: E731
+    if K <= 10_000 or m <= K // 50:
+        picks = []
+        for j in range(K - m, K):  # Floyd's sampling
+            v = draw(j)
+            picks.append(j if v in picks else v)
+        for i in range(m - 1, 0, -1):  # the shuffle of the picks
+            j = draw(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return sorted(picks)
+    pool = list(range(K))  # the tail of a partial Fisher-Yates shuffle
+    for i in range(K - 1, max(K - m, 1) - 1, -1):
+        j = draw(i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[K - m:])
+
+
+def _generators(seed, n):
+    """n generators; the even ones hold a buffered half-word, as after a bootstrap of odd length."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(n)]
+    for rng in rngs[::2]:
+        rng.integers(0, 539, size=539)
+    return rngs
+
+
+def test_reference_choice_equals_numpy():
+    for K, m in [(27, 6), (5, 3), (10, 10), (1, 1), (60, 8), (10_001, 201)]:
+        for rng, twin in zip(_generators(K + m, 4), _generators(K + m, 4)):
+            state = rng.bit_generator.state
+            words = _word_stream(rng.bit_generator, state["uinteger"] if state["has_uint32"] else None)
+            for _ in range(3):
+                assert _reference_choice(words, K, m, []) == sorted(twin.choice(K, size=m, replace=False).tolist())
+
+
+def test_candidate_draws_equal_numpy_choice():
+    # every (K, m) with m <= K <= 60; tree t sits out every step with
+    # (step + t) % 4 == 0, so trees run through their blocks at different
+    # steps and each takes 36 sets, more than one block
+    n_trees, steps = 4, 48
+    for K in range(1, 61):
+        for m in range(1, K + 1):
+            draws = _CandidateDraws(_generators(1000 * K + m, n_trees), K, m)
+            twins = _generators(1000 * K + m, n_trees)
+            for step in range(steps):
+                trees = np.array([t for t in range(n_trees) if (step + t) % 4])
+                got = draws.take(trees)
+                for row, t in zip(got.tolist(), trees.tolist()):
+                    assert row == sorted(twins[t].choice(K, size=m, replace=False).tolist()), (K, m, step, t)
+
+
+@pytest.mark.parametrize("K, m", [(10_001, 201), (10_050, 10_050), (20_000, 100)])
+def test_candidate_draws_equal_numpy_choice_beyond_10000_columns(K, m):
+    # (20_000, 100) is drawn by Floyd's sampling, the others by numpy's tail shuffle
+    draws = _CandidateDraws(_generators(K, 3), K, m)
+    twins = _generators(K, 3)
+    for _ in range(3):
+        got = draws.take(np.arange(3))
+        assert got.tolist() == [sorted(rng.choice(K, size=m, replace=False).tolist()) for rng in twins]
+
+
+@pytest.mark.parametrize("K, m", [(27, 6), (5, 3), (10, 10), (3, 2), (2, 1), (60, 8), (7, 7), (12, 4)])
+def test_candidate_draws_replay_rejected_words(K, m):
+    # crafted words: one in five is 0, which Lemire's rule rejects for every
+    # bound j whose j + 1 is not a power of 2, and one in five sits on the
+    # rejection threshold of a bound of the call, just below or just at it
+    rng = np.random.default_rng(K * 100 + m)
+    bounds = [j for j in [*range(K - m, K), *range(m - 1, 0, -1)] if j > 0 and (j + 1) % 2]
+    n_trees, n_raw = 3, 4000
+    words = rng.integers(0, 2**32, size=(n_trees, 2 * n_raw), dtype=np.uint64)
+    kind = rng.integers(0, 5, size=words.shape)
+    words[kind == 0] = 0
+    for t, k in zip(*np.nonzero(kind == 1)):
+        j = int(rng.choice(bounds)) if bounds else 1
+        threshold = (0xFFFFFFFF - j) % (j + 1)
+        # w * (j + 1) has low half threshold - 1 (rejected) or threshold (kept)
+        words[t, k] = (threshold - int(rng.integers(0, 2))) * pow(j + 1, -1, 2**32) % 2**32 if bounds else 0
+    raw = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+    halves = [None, 7, 0]  # tree 0 starts without a buffered half-word
+    draws = _CandidateDraws([_CraftedGenerator(r, h) for r, h in zip(raw, halves)], K, m)
+    streams = [_word_stream(_CraftedGenerator(r), h) for r, h in zip(raw, halves)]
+    rejected = []
+    for step in range(70):
+        trees = np.array([t for t in range(n_trees) if (step + t) % 3])
+        got = draws.take(trees)
+        for row, t in zip(got.tolist(), trees.tolist()):
+            assert row == _reference_choice(streams[t], K, m, rejected), (step, t)
+    assert len(rejected) > 40 if bounds else not rejected
+
+
 def test_oob_accuracy_scores_only_rows_that_were_out_of_bag():
     X, y = _single_informative(n=200, seed=19)
     model = train_forest(X, y, ForestConfig(n_trees=1), seed=0)
     oob = model.oob_indices[0]
     assert 0 < len(oob) < len(X)
     # a row no tree left out of bag has no OOB vote and must not be scored
-    assert oob_accuracy(model, X, y) == float(np.mean(oob_predictions(model, X)[oob] == y[oob]))
+    assert oob_accuracy(model, X, y) == float(np.mean(_oob_classes(model, X)[oob] == y[oob]))
     model.oob_indices[0] = oob[:0]
     with pytest.raises(ValueError, match="out of bag"):
         oob_accuracy(model, X, y)
+
+
+@pytest.mark.parametrize("score", [oob_accuracy, permutation_importance])
+@pytest.mark.parametrize("bad", ["columns doubled", "rows doubled", "fewer rows", "labels short"])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_oob_scores_refuse_data_the_model_was_not_trained_on(score, bad, degenerate):
+    # both scores read the model's OOB sets, which index its training rows:
+    # other data gave a score with no error, zero importances or an IndexError
+    X, y = _single_informative(n=80, n_noise=3)
+    if degenerate:
+        y = np.ones(len(X))
+    model = train_forest(X, y, ForestConfig(n_trees=10), seed=0)
+    assert model.degenerate == degenerate
+    score(model, X, y)
+    X_bad, y_bad = {
+        "columns doubled": (np.hstack([X, X]), y),
+        "rows doubled": (np.vstack([X, X]), np.concatenate([y, y])),
+        "fewer rows": (X[:60], y[:60]),
+        "labels short": (X, y[:-1]),
+    }[bad]
+    with pytest.raises(ValueError, match="labels" if bad == "labels short" else "trained on 80 rows of 4 columns"):
+        score(model, X_bad, y_bad)
 
 
 def test_forest_single_class_degenerates_gracefully():
     X = np.random.default_rng(0).choice([-1, 1], size=(60, 3))
     model = train_forest(X, np.ones(60), ForestConfig(n_trees=5))
     assert model.degenerate
-    cls, votes = forest_predict(model, X[0])
-    assert cls == 1
-    assert votes.tolist() == [1.0]
+    assert forest_predict_batch(model, X[:1]).tolist() == [1]
+    assert forest_votes(model, X[:1]).tolist() == [[1.0]]
 
 
 def test_forest_vote_tie_resolves_to_smallest_class():
@@ -349,8 +510,7 @@ def test_forest_unseen_level_does_not_crash():
     model = train_forest(X, y, ForestConfig(n_trees=10), seed=0)
     row = X[0].copy()
     row[1] = 99  # level never seen in training
-    cls, _ = forest_predict(model, row)
-    assert cls in model.classes
+    assert forest_predict_batch(model, row[None])[0] in model.classes
 
 
 def test_permutation_importance_ranks_informative_first():
