@@ -161,8 +161,10 @@ class _Partitioner:
     and with it every accepted move and merge, keeps its bits.
 
     After each move sweep and each aggregation pass that changed the
-    partition, the codelength is recomputed from scratch and must have gone
-    down: a stale cache would otherwise accept moves forever.
+    partition, the codelength of the canonical labels is recomputed from
+    scratch into ``L`` and must have gone down: a stale cache would otherwise
+    accept moves forever.  After ``optimize``, ``L`` is the codelength of the
+    labels it returned.
     """
 
     def __init__(self, adj, strengths, w2):
@@ -174,7 +176,7 @@ class _Partitioner:
 
     def optimize(self, rng):
         self._load(list(range(self.n)))
-        self.L = _codelength(self.links, self.p, self.w2, self.labels)
+        self.L = math.inf
         improved = True
         while improved:
             improved = self._move_pass(rng)
@@ -182,10 +184,12 @@ class _Partitioner:
             if merged:
                 self._confirm_gain()
             improved = improved or merged
+        if self.L == math.inf:  # no change was accepted
+            self._confirm_gain()
         return self.labels
 
     def _confirm_gain(self):
-        L = _codelength(self.links, self.p, self.w2, self.labels)
+        L = _codelength(self.links, self.p, self.w2, _canonical(self.labels))
         if not L < self.L:
             raise RuntimeError(f"map-equation search accepted changes that took L from {self.L!r} to {L!r} bits; "
                                "its cached module terms are stale")
@@ -353,8 +357,7 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
             best, best_L = None, None
             for r in range(n_restarts):
                 rng = np.random.default_rng([seed, r])
-                labels = _canonical(part.optimize(rng))
-                L = _codelength(part.links, part.p, w2, labels)
+                labels, L = _canonical(part.optimize(rng)), part.L
                 key = (round(L, 12), labels)
                 if best is None or key < (round(best_L, 12), best):
                     best, best_L = labels, L

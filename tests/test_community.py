@@ -5,6 +5,7 @@ import pytest
 
 from tradeflow.community import (
     WeightedGraph,
+    _canonical,
     _codelength,
     _links,
     _Partitioner,
@@ -368,6 +369,7 @@ def test_partitioner_equals_reference_to_the_bit(g):
         assert part.term == {m: ref._term(c, ref.vol[m]) for m, c in ref.cut.items()}
         assert part.exit_term == _plp(ref.total / w2)
         assert _codelength(links, p, w2, labels) == _reference_codelength(g.adj, strengths, w2, labels)
+        assert part.L == _codelength(links, p, w2, _canonical(labels))  # detect_communities ranks restarts by it
 
 
 def test_detect_pinned_partition():
