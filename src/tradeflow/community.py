@@ -22,6 +22,8 @@ import numpy as np
 from .svn import ValidatedNetwork
 
 EXCLUDED_PAIRS = {(1, -1), (-1, 1)}
+# from this many sweeps that moved a node on, a move pass confirms each sweep's gain at once
+_LONG_PASS = 8
 
 
 @dataclass
@@ -160,11 +162,11 @@ class _Partitioner:
     cached term is the value ``_term`` would compute afresh, so every score,
     and with it every accepted move and merge, keeps its bits.
 
-    After each move sweep and each aggregation pass that changed the
-    partition, the codelength of the canonical labels is recomputed from
-    scratch into ``L`` and must have gone down: a stale cache would otherwise
-    accept moves forever.  After ``optimize``, ``L`` is the codelength of the
-    labels it returned.
+    After each round of ``optimize`` that changed the partition, and after
+    each sweep of a long move pass (``_LONG_PASS``), the codelength of the
+    canonical labels is recomputed from scratch into ``L`` and must have gone
+    down: a stale cache would otherwise accept moves forever.  After
+    ``optimize``, ``L`` is the codelength of the labels it returned.
     """
 
     def __init__(self, adj, strengths, w2):
@@ -179,11 +181,11 @@ class _Partitioner:
         self.L = math.inf
         improved = True
         while improved:
-            improved = self._move_pass(rng)
+            sweeps = self._move_pass(rng)
             merged = self._aggregate_pass()
-            if merged:
+            if merged or 0 < sweeps < _LONG_PASS:  # a long pass confirmed its last sweep itself
                 self._confirm_gain()
-            improved = improved or merged
+            improved = sweeps > 0 or merged
         if self.L == math.inf:  # no change was accepted
             self._confirm_gain()
         return self.labels
@@ -273,8 +275,9 @@ class _Partitioner:
         self.exit_term = _plp(self.total / self.w2)
 
     def _move_pass(self, rng):
-        """Node-level local moves until no single move improves L."""
-        any_gain = False
+        """Node-level local moves until no single move improves L; returns
+        the number of sweeps that moved a node."""
+        sweeps = 0
         order = np.arange(self.n)
         improving = True
         while improving:
@@ -289,10 +292,11 @@ class _Partitioner:
                 if best is not None:
                     self._commit(self._moved(k, best, w_to))
                     self.labels[k] = best
-                    improving = any_gain = True
-            if improving:
+                    improving = True
+            sweeps += improving
+            if improving and sweeps >= _LONG_PASS:
                 self._confirm_gain()
-        return any_gain
+        return sweeps
 
     def _aggregate_pass(self):
         """Merge whole modules along inter-module links while that lowers L.
