@@ -44,13 +44,13 @@ when K = m) unless a word is rejected, which at K <= 60 happens with odds
 of about j / 2**32 per draw, and the i-th set of a tree depends only on its
 generator, not on the shape of the tree.  `_CandidateDraws` computes a block
 of sets per tree at once (32, fewer when a call takes over 32 words) from
-raw words (``random_raw``) with array arithmetic, replays a tree whose block holds a rejected word one draw at a time from the
-rejected set on (`_replay_choice`), and carries unused words over to the
-tree's next block.  For more than 10,000 columns with m > K // 50 numpy
-instead shuffles the tail of ``arange(K)`` (a partial Fisher-Yates shuffle,
-same bounded draws), which `_replay_choice` replays draw by draw.  Nothing
-reads the generators after growing, so the words drawn ahead and never used
-change no output.
+raw words (``random_raw``) with array arithmetic, replays a tree whose block
+holds a rejected word one draw at a time from the rejected set on
+(`_replay_choice`), and carries unused words over to the tree's next block.
+For more than 10,000 columns with m > K // 50 numpy instead shuffles the
+tail of ``arange(K)`` (a partial Fisher-Yates shuffle, same bounded draws),
+which `_replay_choice` replays draw by draw.  Nothing reads the generators
+after growing, so the words drawn ahead and never used change no output.
 """
 
 from __future__ import annotations
