@@ -41,7 +41,7 @@ from .ingest import (
     parse_trades,
     trade_size_histogram,
 )
-from .leadlag import aggregate_groups, build_leadlag, expand_trader_leadlag
+from .leadlag import LeadLagNetwork, aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import ForestConfig
 from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecast
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
@@ -262,7 +262,11 @@ def cmd_communities(args):
 
 
 def leadlag_stage(cfg: RunConfig, matrix, partition: dict, out: Path):
-    net = build_leadlag(aggregate_groups(matrix, partition, cfg.rho0), FdrConfig(cfg.p0))
+    """Validate the lead-lag network of the partition's groups; no group (no validated link) gives no edge."""
+    if partition:
+        net = build_leadlag(aggregate_groups(matrix, partition, cfg.rho0), FdrConfig(cfg.p0))
+    else:
+        net = LeadLagNetwork(groups=[], edges=[], threshold=0.0, n_tests=0, p0=cfg.p0, n_pairs=0)
     tfio.write_leadlag(out, net, expand_trader_leadlag(net, partition))
     print(f"leadlag: {len(net.edges)} validated directed edges -> {out}")
 
@@ -306,8 +310,7 @@ def cmd_stability(args):
             beta_rows.append((tfio._iso_ms(int(matrix.grid.ends[ends[k]])), "" if beta is None else beta))
     tfio.write_rows(out / "ari.csv", ["window_end", "value"], ari_rows)
     tfio.write_rows(out / "beta.csv", ["window_end", "value"], beta_rows)
-    if len(labeled) >= 2:
-        tfio.write_rows(out / "river.csv", ["time", "from_label", "to_label", "trader_count"], export_river(labeled))
+    tfio.write_rows(out / "river.csv", ["time", "from_label", "to_label", "trader_count"], export_river(labeled))
     tfio.write_partition(out, labeled[-1], prefix="partition_latest")
     print(f"stability: {len(labeled)} windows, {len(ari_rows)} ARI points -> {out}")
     return 0

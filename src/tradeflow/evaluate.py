@@ -193,7 +193,8 @@ def sample_tests(predicted, realized_sign, realized_flow, seed: int = 0, n_permu
 
     Returns ``{"chou_chu", "t", "wilcoxon"}`` (TestResults or None).  A test
     the sample cannot support reads None, and its reason goes under
-    ``chou_chu_note`` or ``location_note``.
+    ``chou_chu_note`` or ``location_note``; so does a t test whose statistic
+    is not finite (a sample without variance), which keeps the result strict JSON.
     """
     out = {}
     try:
@@ -205,6 +206,10 @@ def sample_tests(predicted, realized_sign, realized_flow, seed: int = 0, n_permu
     except ValueError as exc:
         out["t"] = out["wilcoxon"] = None
         out["location_note"] = str(exc)
+        return out
+    if not math.isfinite(out["t"].statistic):
+        out["location_note"] = f"t statistic is {out['t'].statistic}: the values have no variance"
+        out["t"] = None
     return out
 
 
@@ -263,30 +268,3 @@ def forecast_report(predicted, realized_sign, realized_flow, hours, seed: int = 
         report["base_rate"] = float(counts.max() / counts.sum()) if len(counts) else None
     return report
 
-
-def hourly_covariate_auc(day_index, hours, correct, covariate_by_day):
-    """Per-hour AUC of a daily covariate against daily prediction success.
-
-    ``correct`` flags each (day, hour) prediction; the covariate has one
-    value per day, so the AUC for a given hour compares the covariate
-    between days whose hour-h prediction succeeded and days where it failed.
-    Hours where either outcome class is missing are skipped.
-    """
-    day_index = np.asarray(day_index)
-    hours = np.asarray(hours)
-    correct = np.asarray(correct, dtype=np.int64)
-    out = {}
-    for h in np.unique(hours):
-        sel = hours == h
-        days = day_index[sel]
-        succ = correct[sel]
-        scores, labels = [], []
-        for d, s in zip(days, succ):
-            if d in covariate_by_day and covariate_by_day[d] is not None:
-                scores.append(covariate_by_day[d])
-                labels.append(s)
-        try:
-            out[int(h)] = roc_auc(scores, labels)
-        except ValueError:
-            continue
-    return out

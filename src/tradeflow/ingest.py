@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -278,11 +278,7 @@ class StateMatrix:
     V: np.ndarray
     G: np.ndarray
     sigma: np.ndarray
-    counts: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros(self.V.shape, dtype=np.int64)
+    counts: np.ndarray
 
     @property
     def trade_counts(self) -> np.ndarray:

@@ -151,7 +151,7 @@ def read_partition(path) -> dict:
         return {r["trader_id"]: int(r["group_label"]) for r in rd}
 
 
-def write_leadlag(out_dir, network, adjacency=None):
+def write_leadlag(out_dir, network, adjacency):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "leadlag_edges.csv", "w", newline="") as fh:
@@ -167,13 +167,12 @@ def write_leadlag(out_dir, network, adjacency=None):
         "groups": [int(g) for g in network.groups],
     }
     (out_dir / "leadlag_meta.json").write_text(json.dumps(meta, indent=1))
-    if adjacency is not None:
-        with open(out_dir / "leadlag_lambda.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "value"])
-            ii, jj = np.nonzero(adjacency.matrix)
-            for a, b in zip(ii, jj):
-                w.writerow([adjacency.traders[a], adjacency.traders[b], 1])
+    with open(out_dir / "leadlag_lambda.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["i", "j", "value"])
+        ii, jj = np.nonzero(adjacency.matrix)
+        for a, b in zip(ii, jj):
+            w.writerow([adjacency.traders[a], adjacency.traders[b], 1])
 
 
 def write_forecasts(path, records):

@@ -98,8 +98,6 @@ def build_leadlag(series: GroupStateSeries, config: FdrConfig = FdrConfig()) -> 
     m = 9 * N_groups^2; untestable combinations contribute p = 1 implicitly.
     """
     n_groups = series.n_groups
-    if n_groups < 1:
-        return LeadLagNetwork(groups=[], edges=[], threshold=0.0, n_tests=0, p0=config.p0, n_pairs=0)
     t_lead = _lag_pairs(series.grid)
     m = 9 * n_groups * n_groups
     lead = {s: (series.sigma[:, t_lead] == s) for s in ACTIVE_STATES}

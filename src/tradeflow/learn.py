@@ -92,8 +92,6 @@ class Trees:
 
 @dataclass
 class ForestModel:
-    config: ForestConfig
-    seed: int
     classes: np.ndarray  # sorted ascending; argmax ties resolve to smallest
     levels: list  # per-column sorted level values
     trees: Trees
@@ -395,8 +393,6 @@ def train_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> 
         Xenc, np.searchsorted(classes, y), boots, rngs, mtry, config.min_node_size, n_levels, len(classes)
     )
     return ForestModel(
-        config=config,
-        seed=seed,
         classes=classes,
         levels=levels,
         trees=trees,
@@ -409,7 +405,7 @@ def train_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> 
 def forest_votes(model: ForestModel, X) -> np.ndarray:
     """Per-row vote fractions over model.classes."""
     X = np.atleast_2d(np.asarray(X))
-    if X.shape[1] != model.n_features and not model.degenerate:
+    if X.shape[1] != model.n_features:
         raise ValueError(f"row has {X.shape[1]} features, model expects {model.n_features}")
     if model.degenerate:
         votes = np.zeros((len(X), len(model.classes)))
@@ -526,17 +522,12 @@ class LogisticModel:
     n_iter: int
 
 
-def _one_hot(X, levels):
-    X = np.asarray(X)
-    blocks = [np.ones((len(X), 1))]
-    for c, lv in enumerate(levels):
-        block = np.zeros((len(X), len(lv)))
-        pos = np.searchsorted(lv, X[:, c])
-        known = np.isin(X[:, c], lv)
-        rows = np.flatnonzero(known)
-        block[rows, pos[known]] = 1.0
-        blocks.append(block)
-    return np.hstack(blocks)
+def _one_hot(X, levels=None):
+    """``(Z, levels)``: an intercept column, then one indicator block per column
+    over its levels (as `_encode` finds or is given them); an unseen level sets none."""
+    Xenc, levels = _encode(X, levels)
+    blocks = [(Xenc[:, [c]] == np.arange(len(lv))).astype(np.float64) for c, lv in enumerate(levels)]
+    return np.hstack([np.ones((len(Xenc), 1)), *blocks]), levels
 
 
 def train_logistic(X, y, l2: float = 1e-4, max_iter: int = 100, tol: float = 1e-8) -> LogisticModel:
@@ -552,8 +543,7 @@ def train_logistic(X, y, l2: float = 1e-4, max_iter: int = 100, tol: float = 1e-
     X, y = X[keep], y[keep]
     if len(X) == 0 or set(np.unique(y)) - {-1, 1}:
         raise ValueError("logistic targets must be -1/+1 after dropping zeros")
-    levels = [np.unique(X[:, c]) for c in range(X.shape[1])]
-    Z = _one_hot(X, levels)
+    Z, levels = _one_hot(X)
     t = (y + 1) / 2.0
     beta = np.zeros(Z.shape[1])
     pen = np.full(Z.shape[1], l2)
@@ -576,6 +566,6 @@ def train_logistic(X, y, l2: float = 1e-4, max_iter: int = 100, tol: float = 1e-
 
 def logistic_predict(model: LogisticModel, X) -> np.ndarray:
     """Predict -1/+1; probability exactly 1/2 rounds to +1."""
-    Z = _one_hot(np.atleast_2d(np.asarray(X)), model.levels)
+    Z, _ = _one_hot(np.atleast_2d(np.asarray(X)), model.levels)
     p = 1.0 / (1.0 + np.exp(-np.clip(Z @ model.coef, -35, 35)))
     return np.where(p >= 0.5, 1, -1)

@@ -77,10 +77,10 @@ def build_predictors(sigma: np.ndarray, grid, lag_depth: int = 1):
     return X, rows
 
 
-def flow_sign_targets(matrix: StateMatrix) -> np.ndarray:
-    """Per-slice sign of the total net volume over all traders."""
+def flow_sign_targets(matrix: StateMatrix):
+    """``(total, sign)``: per slice, the net volume summed over all traders and its sign."""
     total = matrix.V.sum(axis=0)
-    return np.sign(total).astype(np.int64)
+    return total, np.sign(total).astype(np.int64)
 
 
 def vwap_series(trades, grid) -> np.ndarray:
@@ -203,15 +203,11 @@ def rolling_forecast(
         raise ValueError(f"unknown target kind {target_kind!r}")
     if target_kind == "vwap" and trades is None:
         raise ValueError("vwap targets require the trade list")
-    flow_signs = flow_sign_targets(matrix)
-    total_flow = matrix.V.sum(axis=0)
-    vwap_signs = vwap_change_targets(trades, matrix.grid) if trades is not None else None
-    if target_kind == "flow":
-        target = flow_signs.astype(np.float64)
-    else:
-        # realign so target[t] is the value realized AT slice t: the VWAP
-        # change from slice t-1 to t (vwap_change_targets[t] looks ahead)
-        target = np.concatenate(([np.nan], vwap_signs[:-1]))
+    total_flow, flow_signs = flow_sign_targets(matrix)
+    # vwap_signs[t] is the value realized AT slice t: the VWAP change from
+    # slice t-1 to t (vwap_change_targets[t] looks ahead)
+    vwap_signs = None if trades is None else np.concatenate(([np.nan], vwap_change_targets(trades, matrix.grid)[:-1]))
+    target = flow_signs.astype(np.float64) if target_kind == "flow" else vwap_signs
 
     cfg = {
         "rho0": rho0,
@@ -222,7 +218,7 @@ def rolling_forecast(
         "forest": forest_config,
     }
     days = matrix.grid.day_slices()
-    first_day = min(schedule.window_lengths, default=len(days))  # the first day a window fits
+    first_day = min(schedule.window_lengths)  # the first day a window fits
     last_day = len(days) if max_days is None else min(len(days), first_day + max_days)
     every = schedule.recalibrate_every
     votes = {}  # slice index -> {T_in: predicted class}
@@ -237,7 +233,7 @@ def rolling_forecast(
     for d in range(first_day, last_day):
         for t in days[d].tolist():
             slice_votes = votes.get(t, {})
-            v_sign = vwap_signs[t - 1] if (vwap_signs is not None and t >= 1) else np.nan
+            v_sign = np.nan if vwap_signs is None else vwap_signs[t]
             records.append(
                 ForecastRecord(
                     slice_index=t,

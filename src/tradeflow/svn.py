@@ -114,21 +114,6 @@ def hypergeom_sf(T: int, n_i, n_j, x):
     return float(out[0]) if scalar else out
 
 
-def count_cooccurrences(matrix: StateMatrix, i, j, state_pair):
-    """Count slices where trader i is in state s_i and trader j in s_j.
-
-    Returns (x, n_i, n_j, T).  The inactive state never matches.
-    """
-    s_i, s_j = state_pair
-    if s_i not in ACTIVE_STATES or s_j not in ACTIVE_STATES:
-        raise ValueError(f"state pair must be drawn from {ACTIVE_STATES}, got {state_pair}")
-    row_i = matrix.sigma[matrix.index_of(i)]
-    row_j = matrix.sigma[matrix.index_of(j)]
-    a = row_i == s_i
-    b = row_j == s_j
-    return int((a & b).sum()), int(a.sum()), int(b.sum()), matrix.n_slices
-
-
 def bh_fdr(p_values, p0: float, n_tests: int | None = None):
     """Benjamini-Hochberg threshold and rejection flags.
 

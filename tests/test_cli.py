@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 import shlex
 from collections import Counter
 from pathlib import Path
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 import yaml
 
+import tradeflow
 from tradeflow import cli
 from tradeflow import io as tfio
 from tradeflow.cli import RunConfig, main
@@ -189,6 +191,27 @@ def test_stability_command(pipeline_run, cfg_path, tmp_path):
     }
 
 
+def test_pipeline_on_a_market_with_no_validated_link(tmp_path):
+    # noise traders only: no link validates, so there is no group to lead or
+    # lag, every forecast abstains and the t statistic of the all-zero products is NaN
+    cfg = tmp_path / "null.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "market": {"group_sizes": [], "n_noise_traders": 300, "n_weekdays": 20},
+        "top_n": 100, "min_trades": 20, "window_lengths": [10], "recalibrate_every": 10, "n_trees": 5, "seed": 3,
+    }))
+    market, out = tmp_path / "market", tmp_path / "out"
+    assert main(["synth", "--config", str(cfg), "--out", str(market)]) == 0
+    assert main(["pipeline", "--config", str(cfg), "--trades", str(market / "trades.csv"), "--out", str(out)]) == 0
+    assert json.loads((out / "svn_meta.json").read_text())["n_edges"] == 0
+    assert json.loads((out / "leadlag_meta.json").read_text())["groups"] == []
+
+    def refuse(constant):
+        raise ValueError(f"report.json holds {constant}, which is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["flow"]["t"] is None and "variance" in report["flow"]["location_note"]
+
+
 FORECAST_HEADER = "slice_end,window_length,predicted,combined,realized_sign,realized_flow,realized_vwap_sign\n"
 
 
@@ -297,3 +320,11 @@ def test_readme_cli_lines_dispatch(monkeypatch):
         except SystemExit as exc:
             pytest.fail(f"argparse refused README line {line!r}: exit {exc.code}")
         assert dispatched == [f"cmd_{argv[0]}"], line
+
+
+def test_readme_library_names_are_exported():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = set(re.findall(r"\btf\.(\w+)", block))
+    assert len(names) >= 10
+    assert names <= set(tradeflow.__all__), sorted(names - set(tradeflow.__all__))

@@ -6,7 +6,6 @@ from tradeflow.evaluate import (
     _wilcoxon_exact_greater,
     chou_chu_test,
     hourly_condition,
-    hourly_covariate_auc,
     location_tests,
     performance_series,
     roc_auc,
@@ -154,13 +153,3 @@ def test_hourly_condition_partitions_and_omits():
     assert set(table) == {9, 10}
     assert table[9]["chou_chu"].p_value < 0.01
     assert 15 in omitted
-
-
-def test_hourly_covariate_auc_separates():
-    # hour 9 succeeds exactly on high-covariate days
-    days = np.arange(40)
-    hours = np.full(40, 9)
-    correct = (days >= 20).astype(int)
-    cov = {int(d): float(d) for d in days}
-    out = hourly_covariate_auc(days, hours, correct, cov)
-    assert out[9] == 1.0

@@ -496,6 +496,16 @@ def test_forest_single_class_degenerates_gracefully():
     assert forest_votes(model, X[:1]).tolist() == [[1.0]]
 
 
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_forest_votes_refuse_rows_of_another_width(degenerate):
+    # a degenerate model, which has no tree to read the columns, still checks them
+    X, y = _single_informative(n=60, n_noise=2)
+    model = train_forest(X, np.ones(len(X)) if degenerate else y, ForestConfig(n_trees=5))
+    assert model.degenerate == degenerate
+    with pytest.raises(ValueError, match="model expects 3"):
+        forest_votes(model, np.ones((2, 7)))
+
+
 def test_forest_vote_tie_resolves_to_smallest_class():
     X, y = _single_informative()
     model = train_forest(X, y, ForestConfig(n_trees=30), seed=1)

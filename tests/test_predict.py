@@ -64,7 +64,9 @@ def test_flow_sign_targets_sum_over_all_traders():
         traders=["a", "b"], grid=grid, V=V, G=G,
         sigma=states_from_volumes(V, G, 0.01), counts=np.zeros_like(V, dtype=np.int64),
     )
-    assert flow_sign_targets(m).tolist() == [1, -1]
+    total, signs = flow_sign_targets(m)
+    assert total.tolist() == [600.0, -1000.0]
+    assert signs.tolist() == [1, -1]
 
 
 def test_vwap_series_and_targets():

@@ -16,7 +16,6 @@ from tradeflow.svn import (
     _cooccurrence_tests,
     bh_fdr,
     build_svn,
-    count_cooccurrences,
     hypergeom_sf,
 )
 
@@ -119,17 +118,6 @@ def _matrix_from_sigma(sigma):
         sigma=np.asarray(sigma, dtype=np.int8),
         counts=np.zeros(sigma.shape, dtype=np.int64),
     )
-
-
-def test_count_cooccurrences_ignores_inactive():
-    sigma = np.zeros((2, 60), dtype=np.int8)
-    sigma[0, :10] = 1
-    sigma[1, 5:15] = 1
-    m = _matrix_from_sigma(sigma)
-    x, n_i, n_j, T = count_cooccurrences(m, "t00", "t01", (1, 1))
-    assert (x, n_i, n_j, T) == (5, 10, 10, 60)
-    with pytest.raises(ValueError):
-        count_cooccurrences(m, "t00", "t01", (0, 1))
 
 
 def test_build_svn_validates_synchronized_pair():
