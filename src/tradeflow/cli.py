@@ -16,7 +16,6 @@ traders, >=100 trades, windows 45..90 step 5, 09:00-16:00 London session).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -45,7 +44,7 @@ from .leadlag import LeadLagNetwork, aggregate_groups, build_leadlag, expand_tra
 from .learn import ForestConfig
 from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecast
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
-from .svn import MIN_WINDOW_SLICES, FdrConfig, LinkCandidate, ValidatedNetwork, build_svn
+from .svn import MIN_WINDOW_SLICES, FdrConfig, ValidatedNetwork, build_svn
 from .synth import MarketSpec, PlantedEdge, generate_market
 
 
@@ -175,21 +174,18 @@ def _grid_from(cfg: RunConfig, trades):
 def cmd_synth(args):
     trades, truth = generate_market(RunConfig.load(args.config, {"seed": args.seed}).market_spec())
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tfio.write_trades(out / "trades.csv", trades)
-    truth_doc = {
+    tfio.write_json(out / "ground_truth.json", {
         "partition": truth.partition,
         "leadlag_edges": [list(e) for e in truth.leadlag_edges],
         "intended_states": truth.intended_states.tolist(),
-    }
-    (out / "ground_truth.json").write_text(json.dumps(truth_doc, indent=1))
+    })
     print(f"synth: {len(trades)} trades over {truth.grid.n_days} days -> {out}")
     return 0
 
 
 def ingest_stage(cfg: RunConfig, trades, rejects, out: Path):
     matrix = classify_states(trades, _grid_from(cfg, trades), cfg.rho0)
-    out.mkdir(parents=True, exist_ok=True)
     tfio.write_state_matrix(out, matrix)
     if rejects:
         tfio.write_rows(out / "rejects.csv", ["line_no", "reason", "raw"],
@@ -199,12 +195,11 @@ def ingest_stage(cfg: RunConfig, trades, rejects, out: Path):
     counts = matrix.trade_counts
     summary = {"n_traders": matrix.n_traders, "n_slices": matrix.n_slices, "n_rejects": len(rejects)}
     try:
-        fit = fit_tail_exponent(counts[counts > 0])
-        summary["tail_fit"] = dataclasses.asdict(fit)
+        summary["tail_fit"] = fit_tail_exponent(counts[counts > 0])
     except TailFitError as exc:
         summary["tail_fit"] = None
         summary["tail_fit_note"] = str(exc)
-    (out / "ingest_summary.json").write_text(json.dumps(summary, indent=1))
+    tfio.write_json(out / "ingest_summary.json", summary)
     print(f"ingest: {matrix.n_traders} traders x {matrix.n_slices} slices -> {out}")
     return matrix
 
@@ -233,18 +228,6 @@ def cmd_svn(args):
     return 0
 
 
-def _read_svn_edges(path) -> ValidatedNetwork:
-    """The network of ``svn_edges.csv``; the file stores no n_i, n_j, T or threshold, so they read 0."""
-    with open(path, newline="") as fh:
-        edges = [
-            LinkCandidate(i=r["i"], j=r["j"], state_i=int(r["state_i"]), state_j=int(r["state_j"]),
-                          co_count=int(r["co_count"]), n_i=0, n_j=0, T=0, p_value=float(r["p_value"]))
-            for r in csv.DictReader(fh)
-        ]
-    nodes = sorted({e.i for e in edges} | {e.j for e in edges}, key=str)
-    return ValidatedNetwork(nodes=nodes, edges=edges, threshold=0.0, n_tests=0, p0=0.0, T=0)
-
-
 def communities_stage(cfg: RunConfig, net: ValidatedNetwork, out: Path) -> dict:
     graph = project_weighted(net)
     partition = detect_communities(graph, seed=cfg.seed)
@@ -257,7 +240,7 @@ def communities_stage(cfg: RunConfig, net: ValidatedNetwork, out: Path) -> dict:
 
 
 def cmd_communities(args):
-    communities_stage(RunConfig.load(args.config), _read_svn_edges(_require(args.edges, "svn")), Path(args.out))
+    communities_stage(RunConfig.load(args.config), tfio.read_svn_edges(_require(args.edges, "svn")), Path(args.out))
     return 0
 
 
@@ -297,17 +280,16 @@ def cmd_stability(args):
         labeled.append(lab)
         ends.append(t1 - 1)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ari_rows, beta_rows = [], []
     for k in range(1, len(labeled)):
         common = set(labeled[k - 1]) & set(labeled[k])
         if common:
             p = {t: labeled[k - 1][t] for t in common}
             q = {t: labeled[k][t] for t in common}
-            ari_rows.append((tfio._iso_ms(int(matrix.grid.ends[ends[k]])), adjusted_rand_index(p, q)))
+            ari_rows.append((tfio.iso_ms(int(matrix.grid.ends[ends[k]])), adjusted_rand_index(p, q)))
         if adjacency[k - 1] is not None and adjacency[k] is not None:
             beta = leadlag_overlap_beta(adjacency[k - 1], adjacency[k])
-            beta_rows.append((tfio._iso_ms(int(matrix.grid.ends[ends[k]])), "" if beta is None else beta))
+            beta_rows.append((tfio.iso_ms(int(matrix.grid.ends[ends[k]])), "" if beta is None else beta))
     tfio.write_rows(out / "ari.csv", ["window_end", "value"], ari_rows)
     tfio.write_rows(out / "beta.csv", ["window_end", "value"], beta_rows)
     tfio.write_rows(out / "river.csv", ["time", "from_label", "to_label", "trader_count"], export_river(labeled))
@@ -318,7 +300,6 @@ def cmd_stability(args):
 
 def forecast_stage(cfg: RunConfig, matrix, trades, out: Path):
     """Flow forecasts, plus VWAP forecasts when ``trades`` is not None."""
-    out.mkdir(parents=True, exist_ok=True)
     targets = ["flow"] + (["vwap"] if trades is not None else [])
     for kind in targets:
         records, skipped = rolling_forecast(
@@ -357,7 +338,6 @@ def _evaluate_records(records, cfg: RunConfig, target: str):
 
 
 def evaluate_stage(cfg: RunConfig, forecasts, out: Path):
-    out.mkdir(parents=True, exist_ok=True)
     report = {}
     for kind in ("flow", "vwap"):
         path = Path(forecasts) / f"forecasts_{kind}.csv"
@@ -377,7 +357,7 @@ def evaluate_stage(cfg: RunConfig, forecasts, out: Path):
         )
     if not report:
         raise SystemExit(f"missing upstream artifact {forecasts}/forecasts_flow.csv: run the 'forecast' stage first")
-    (out / "report.json").write_text(json.dumps(report, indent=1, default=dataclasses.asdict))
+    tfio.write_json(out / "report.json", report)
     print(f"evaluate: report for {sorted(report)} -> {out}")
 
 
@@ -407,7 +387,7 @@ def cmd_pipeline(args):
         "seed": cfg.seed,
         "outputs": {p.name: tfio.file_checksum(p) for p in outputs},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    tfio.write_json(out / "manifest.json", manifest)
     print(f"pipeline: complete, manifest with {len(outputs)} outputs -> {out}")
     return 0
 

@@ -222,11 +222,13 @@ def hourly_condition(
     seed: int = 0,
     n_permutations: int = 10_000,
 ):
-    """Run :func:`sample_tests` within each session hour, without its notes.
+    """Run :func:`sample_tests` within each session hour.
 
     Hours with fewer than ``min_per_hour`` observations are omitted with a
     note.  Returns ``(table, omitted)`` where ``table`` maps hour to
-    ``{"n", "chou_chu", "t", "wilcoxon"}``.  Every hour's Chou-Chu
+    ``{"n", "chou_chu", "t", "wilcoxon"}`` plus the ``chou_chu_note`` and
+    ``location_note`` of each test the hour cannot support, so an hour whose
+    tests all read None says why.  Every hour's Chou-Chu
     permutations start from the same ``seed``; :func:`forecast_report`
     passes none, so report hours are always seeded with 0.
     """
@@ -242,7 +244,7 @@ def hourly_condition(
             omitted[int(h)] = f"only {n} observations (need {min_per_hour})"
             continue
         tests = sample_tests(predicted[sel], realized_sign[sel], realized_flow[sel], seed, n_permutations)
-        table[int(h)] = {"n": n, **{k: v for k, v in tests.items() if not k.endswith("_note")}}
+        table[int(h)] = {"n": n, **tests}
     return table, omitted
 
 
@@ -252,9 +254,11 @@ def forecast_report(predicted, realized_sign, realized_flow, hours, seed: int = 
     :func:`sample_tests` on the whole sample (seeded with ``seed``), then
     ``hourly``/``hourly_omitted`` from :func:`hourly_condition` (string hour
     keys; its permutations are seeded with 0 whatever ``seed`` is, so a
-    seed sweep leaves every hourly Chou-Chu p-value as it is), then, when some prediction is non-zero, ``accuracy`` (hit rate of
-    the non-zero predictions) and ``base_rate`` (share of the commonest
-    realized sign among them).
+    seed sweep leaves every hourly Chou-Chu p-value as it is).  An hour
+    with enough observations stays in ``hourly`` even when none of its tests
+    can run; its ``*_note`` keys say why.  Then, when some prediction is
+    non-zero, ``accuracy`` (hit rate of the non-zero predictions) and
+    ``base_rate`` (share of the commonest realized sign among them).
     """
     p, r = np.asarray(predicted), np.asarray(realized_sign)
     report = sample_tests(p, r, realized_flow, seed=seed)

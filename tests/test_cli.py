@@ -238,12 +238,14 @@ def test_evaluate_report_is_pinned(tmp_path):
         reports[label] = json.loads((d / "report.json").read_text())["flow"]
         reports[label]["sha256"] = _sha256(d / "report.json"), _sha256(d / "performance_flow.csv")
     crafted = reports["crafted"]
-    # 40 rows but only 20 non-zero predictions: the Chou-Chu test cannot run, and hourly entries carry no note
-    assert list(crafted["hourly"]["9"]) == ["n", "chou_chu", "t", "wilcoxon"]
+    # 40 rows but only 20 non-zero predictions: the Chou-Chu test cannot run, and the hour's note says why
+    assert list(crafted["hourly"]["9"]) == ["n", "chou_chu", "chou_chu_note", "t", "wilcoxon"]
     assert crafted["hourly"]["9"]["chou_chu"] is None and crafted["hourly"]["9"]["t"]["n"] == 40
+    assert crafted["hourly"]["9"]["chou_chu_note"] == "need n >= 30 binary pairs, got 20"
+    assert list(crafted["hourly"]["10"]) == ["n", "chou_chu", "t", "wilcoxon"]
     assert crafted["hourly"]["10"]["chou_chu"]["n"] == 40
     assert crafted["hourly_omitted"] == {"11": "only 5 observations (need 30)"}
-    assert crafted["sha256"] == ("286ac40637479413bb38da99576c0445fa3d52aa6e7ed1c8cc27da25e3ff8afc",
+    assert crafted["sha256"] == ("8ad461ec8c9c1832f3bc1dfc9ed261ffeda4d1a7a123acc7f2e49fd6471566d4",
                                  "90b1c4b1b420f0f8a0272a48546a29bc5390d6a19cdcf596cfe26d8d442f91fb")
     assert reports["empty"] == {
         "n_slices": 0, "target": "flow",
@@ -294,7 +296,7 @@ def test_pipeline_parses_once_and_reads_nothing_back(pipeline_run, cfg_path, tmp
         return wrapper
 
     monkeypatch.setattr(cli, "parse_trades", counted("parse_trades", cli.parse_trades))
-    monkeypatch.setattr(cli, "_read_svn_edges", counted("_read_svn_edges", cli._read_svn_edges))
+    monkeypatch.setattr(tfio, "read_svn_edges", counted("read_svn_edges", tfio.read_svn_edges))
     monkeypatch.setattr(tfio, "read_state_matrix", counted("read_state_matrix", tfio.read_state_matrix))
     monkeypatch.setattr(tfio, "read_partition", counted("read_partition", tfio.read_partition))
     monkeypatch.setattr(RunConfig, "load", classmethod(counted("RunConfig.load", RunConfig.load.__func__)))
@@ -328,3 +330,11 @@ def test_readme_library_names_are_exported():
     names = set(re.findall(r"\btf\.(\w+)", block))
     assert len(names) >= 10
     assert names <= set(tradeflow.__all__), sorted(names - set(tradeflow.__all__))
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+    (tmp_path / "config.yaml").write_text(block)
+    cfg = RunConfig.load(str(tmp_path / "config.yaml"))  # refuses unknown keys and values
+    assert (cfg.instrument, cfg.n_trees, cfg.window_lengths[-1]) == ("EURUSD", 500, 90)
