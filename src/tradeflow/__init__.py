@@ -26,8 +26,8 @@ from .ingest import (
     classify_states,
     filter_active,
     fit_tail_exponent,
-    parse_trades,
 )
+from .io import parse_trades
 from .leadlag import aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import (
     ForestConfig,

@@ -37,9 +37,9 @@ from .ingest import (
     classify_states,
     filter_active,
     fit_tail_exponent,
-    parse_trades,
     trade_size_histogram,
 )
+from .io import parse_trades
 from .leadlag import LeadLagNetwork, aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import ForestConfig
 from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecast

@@ -1,4 +1,4 @@
-"""Trade stream parsing, time-grid construction and trader state classification.
+"""Trade columns, time-grid construction and trader state classification.
 
 Trades are bucketed into fixed slices (default one hour) restricted to the
 trading session (default 09:00-16:00 London, weekdays only).  Within each
@@ -8,12 +8,9 @@ or inactive (0) from the imbalance ratio of signed to gross volume.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from array import array
 from dataclasses import dataclass, replace
-from datetime import datetime, time, timedelta, timezone
+from datetime import datetime, time, timedelta
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -24,9 +21,6 @@ STATE_NEUTRAL = 2
 STATE_INACTIVE = 0
 
 ACTIVE_STATES = (STATE_SELL, STATE_BUY, STATE_NEUTRAL)
-
-TRADE_FIELDS = ("trader_id", "timestamp", "instrument", "signed_volume", "price")
-
 
 @dataclass(frozen=True, eq=False)
 class Trades:
@@ -62,108 +56,6 @@ def encode_ids(names: list, codes) -> tuple:
     remap = np.zeros(len(names), dtype=np.int32)
     remap[used] = np.arange(len(used))
     return tuple(names[k] for k in used.tolist()), remap[codes]
-
-
-@dataclass(frozen=True)
-class RejectedRow:
-    line_no: int
-    reason: str
-    raw: str
-
-
-class ParseError(ValueError):
-    """Raised when the input stream is unusable as a whole."""
-
-
-def _parse_timestamp(text: str) -> int:
-    """Accept epoch milliseconds or ISO-8601; return epoch milliseconds."""
-    text = text.strip()
-    try:
-        ms = int(text)
-    except ValueError:
-        dt = datetime.fromisoformat(text)
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        ms = int(dt.timestamp() * 1000)
-    if not -(2**63) <= ms < 2**63:
-        raise ValueError(f"timestamp {text!r} is out of the int64 millisecond range")
-    return ms
-
-
-def parse_trades(stream, max_reject_fraction: float = 0.10):
-    """Parse a CSV trade stream.
-
-    Parameters
-    ----------
-    stream : file-like, str or bytes
-        CSV text with a header naming the five trade fields.
-    max_reject_fraction : float
-        Fatal if more than this fraction of data rows is malformed.
-
-    Returns
-    -------
-    (trades, rejects)
-        ``trades`` is a :class:`Trades` sorted ascending by timestamp (stable,
-        so equal times keep their input order); ``rejects`` is the list of
-        malformed rows with reasons (never silently dropped).
-    """
-    if isinstance(stream, bytes):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty stream: no header row")
-    header = [h.strip() for h in header]
-    if set(TRADE_FIELDS) - set(header):
-        missing = sorted(set(TRADE_FIELDS) - set(header))
-        raise ParseError(f"header is missing required fields: {missing}")
-    col = {name: header.index(name) for name in TRADE_FIELDS}
-
-    traders, instruments = {}, {}
-    trader, instrument = array("i"), array("i")
-    timestamp, signed_volume, price = array("q"), array("d"), array("d")
-    rejects = []
-    n_rows = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        n_rows += 1
-        try:
-            ts = _parse_timestamp(row[col["timestamp"]])
-            volume = float(row[col["signed_volume"]])
-            px = float(row[col["price"]])
-            trader_id = row[col["trader_id"]].strip()
-            instrument_id = row[col["instrument"]].strip()
-            reason = (
-                "zero signed_volume" if volume == 0
-                else "price must be positive and finite" if not (px > 0 and math.isfinite(px) and math.isfinite(volume))
-                else "empty trader_id" if not trader_id
-                else None
-            )
-        except (ValueError, IndexError) as exc:
-            reason = f"unparseable: {exc}"
-        if reason:
-            rejects.append(RejectedRow(line_no, reason, ",".join(row)))
-            continue
-        trader.append(traders.setdefault(trader_id, len(traders)))
-        instrument.append(instruments.setdefault(instrument_id, len(instruments)))
-        timestamp.append(ts)
-        signed_volume.append(volume)
-        price.append(px)
-    if n_rows and len(rejects) / n_rows > max_reject_fraction:
-        raise ParseError(
-            f"{len(rejects)} of {n_rows} rows malformed "
-            f"(> {max_reject_fraction:.0%}); first reject: {rejects[0]}"
-        )
-    trader_ids, trader = encode_ids(list(traders), trader)
-    instrument_ids, instrument = encode_ids(list(instruments), instrument)
-    timestamp = np.frombuffer(timestamp, dtype=np.int64)
-    trades = Trades(trader_ids, trader, timestamp, instrument_ids, instrument, np.frombuffer(signed_volume),
-                    np.frombuffer(price))
-    return trades.take(np.argsort(timestamp, kind="stable")), rejects
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@
 
 Every stage hands the next one plain files: trades, state matrices, edge
 lists, partitions, forecasts and reports, so any stage can be rerun and
-audited in isolation.  This module is the only one that writes them: every
-CSV goes through one row writer (``write_rows``) and every JSON document
-through ``write_json``, and each creates the directory it writes into.  Each
-reader sits next to its writer.
+audited in isolation.  This module is the only one that writes or parses
+them: every CSV goes through one row writer (``write_rows``) and every JSON
+document through ``write_json``, and each creates the directory it writes
+into.  Each reader sits next to its writer.
+
+The state matrix is written and parsed column-wise: one ``np.loadtxt`` pass
+per CSV.  Readers refuse malformed input with a ``ValueError`` that names the
+file and line: a row that does not parse, a trader listed twice in a
+partition, and a repeated cell of a state matrix or of a forecast file.
 """
 
 from __future__ import annotations
@@ -14,13 +19,20 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
+from array import array
 from datetime import datetime, time, timedelta, timezone
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import StateMatrix, TimeGrid, Trades
+from .ingest import StateMatrix, TimeGrid, Trades, encode_ids
 from .svn import LinkCandidate, ValidatedNetwork
+
+TRADE_FIELDS = ("trader_id", "timestamp", "instrument", "signed_volume", "price")
+_VOLUME_COLUMNS = np.dtype([("trader_id", object), ("slice_index", np.int64), ("net_volume", np.float64),
+                            ("gross_volume", np.float64), ("n_trades", np.int64)])  # states_volumes.csv
 
 
 def _write_csv(path, header, rows):
@@ -49,11 +61,113 @@ def iso_ms(ms: int) -> str:
 
 def write_trades(path, trades: Trades):
     # .tolist() gives Python ints and floats, which csv writes as repr() does
-    _write_csv(path, ["trader_id", "timestamp", "instrument", "signed_volume", "price"], zip(
+    _write_csv(path, TRADE_FIELDS, zip(
         np.array(trades.trader_ids, dtype=object)[trades.trader].tolist(), trades.timestamp.tolist(),
         np.array(trades.instruments, dtype=object)[trades.instrument].tolist(),
         trades.signed_volume.tolist(), trades.price.tolist(),
     ))
+
+
+@dataclasses.dataclass(frozen=True)
+class RejectedRow:
+    line_no: int
+    reason: str
+    raw: str
+
+
+class ParseError(ValueError):
+    """Raised when the input stream is unusable as a whole."""
+
+
+def _parse_timestamp(text: str) -> int:
+    """Accept epoch milliseconds or ISO-8601; return epoch milliseconds."""
+    text = text.strip()
+    try:
+        ms = int(text)
+    except ValueError:
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        ms = int(dt.timestamp() * 1000)
+    if not -(2**63) <= ms < 2**63:
+        raise ValueError(f"timestamp {text!r} is out of the int64 millisecond range")
+    return ms
+
+
+def parse_trades(stream, max_reject_fraction: float = 0.10):
+    """Parse a CSV trade stream.
+
+    Parameters
+    ----------
+    stream : file-like, str or bytes
+        CSV text with a header naming the five trade fields.
+    max_reject_fraction : float
+        Fatal if more than this fraction of data rows is malformed.
+
+    Returns
+    -------
+    (trades, rejects)
+        ``trades`` is a :class:`Trades` sorted ascending by timestamp (stable,
+        so equal times keep their input order); ``rejects`` is the list of
+        malformed rows with reasons (never silently dropped).
+    """
+    if isinstance(stream, bytes):
+        stream = StringIO(stream.decode("utf-8"))
+    elif isinstance(stream, str):
+        stream = StringIO(stream)
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty stream: no header row")
+    header = [h.strip() for h in header]
+    if set(TRADE_FIELDS) - set(header):
+        missing = sorted(set(TRADE_FIELDS) - set(header))
+        raise ParseError(f"header is missing required fields: {missing}")
+    col = {name: header.index(name) for name in TRADE_FIELDS}
+
+    traders, instruments = {}, {}
+    trader, instrument = array("i"), array("i")
+    timestamp, signed_volume, price = array("q"), array("d"), array("d")
+    rejects = []
+    n_rows = 0
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        n_rows += 1
+        try:
+            ts = _parse_timestamp(row[col["timestamp"]])
+            volume = float(row[col["signed_volume"]])
+            px = float(row[col["price"]])
+            trader_id = row[col["trader_id"]].strip()
+            instrument_id = row[col["instrument"]].strip()
+            reason = (
+                "zero signed_volume" if volume == 0
+                else "price must be positive and finite" if not (px > 0 and math.isfinite(px) and math.isfinite(volume))
+                else "empty trader_id" if not trader_id
+                else None
+            )
+        except (ValueError, IndexError) as exc:
+            reason = f"unparseable: {exc}"
+        if reason:
+            rejects.append(RejectedRow(line_no, reason, ",".join(row)))
+            continue
+        trader.append(traders.setdefault(trader_id, len(traders)))
+        instrument.append(instruments.setdefault(instrument_id, len(instruments)))
+        timestamp.append(ts)
+        signed_volume.append(volume)
+        price.append(px)
+    if n_rows and len(rejects) / n_rows > max_reject_fraction:
+        raise ParseError(
+            f"{len(rejects)} of {n_rows} rows malformed "
+            f"(> {max_reject_fraction:.0%}); first reject: {rejects[0]}"
+        )
+    trader_ids, trader = encode_ids(list(traders), trader)
+    instrument_ids, instrument = encode_ids(list(instruments), instrument)
+    timestamp = np.frombuffer(timestamp, dtype=np.int64)
+    trades = Trades(trader_ids, trader, timestamp, instrument_ids, instrument, np.frombuffer(signed_volume),
+                    np.frombuffer(price))
+    return trades.take(np.argsort(timestamp, kind="stable")), rejects
 
 
 def write_state_matrix(out_dir, matrix: StateMatrix):
@@ -61,11 +175,11 @@ def write_state_matrix(out_dir, matrix: StateMatrix):
     out_dir, grid = Path(out_dir), matrix.grid
     _write_csv(out_dir / "states.csv", ["trader_id"] + [iso_ms(s) for s in grid.starts],
                ([t, *states] for t, states in zip(matrix.traders, matrix.sigma.tolist())))
-    _write_csv(
-        out_dir / "states_volumes.csv", ["trader_id", "slice_index", "net_volume", "gross_volume", "n_trades"],
-        ([t, int(s), repr(float(matrix.V[k, s])), repr(float(matrix.G[k, s])), int(matrix.counts[k, s])]
-         for k, t in enumerate(matrix.traders) for s in np.flatnonzero(matrix.G[k] > 0)),
-    )
+    k, s = np.nonzero(matrix.G > 0)  # row-major: trader by trader, slices ascending
+    _write_csv(out_dir / "states_volumes.csv", _VOLUME_COLUMNS.names, zip(
+        np.array(matrix.traders, dtype=object)[k].tolist(), s.tolist(),
+        matrix.V[k, s].tolist(), matrix.G[k, s].tolist(), matrix.counts[k, s].tolist(),
+    ))
     write_json(out_dir / "states_meta.json", {
         **{name: getattr(grid, name).tolist() for name in TimeGrid._columns},
         "slice_minutes": int(grid.slice_duration.total_seconds() // 60),
@@ -77,12 +191,55 @@ def write_state_matrix(out_dir, matrix: StateMatrix):
     })
 
 
+def _read_columns(path, dtype, usecols=None, ndmin=1):
+    """The data rows of a CSV that ``_write_csv`` wrote, parsed in one ``np.loadtxt`` pass.
+
+    The field names of a structured ``dtype`` must be the header.  A file with
+    no data rows gives an empty array (loadtxt would warn).  A row loadtxt
+    refuses is looked up again with the csv module, so the ``ValueError``
+    names the file and line (data-row index + 2).
+    """
+    dtype = np.dtype(dtype)
+    with open(path, newline="") as fh:  # decoded as the writer encoded it
+        header = fh.readline().rstrip("\r\n")
+        if dtype.names and header != ",".join(dtype.names):
+            raise ValueError(f"{path} line 1: header {header!r}, not {','.join(dtype.names)!r}")
+        start = fh.tell()
+        if not fh.read(1):
+            return np.zeros(0, dtype)
+        fh.seek(start)
+        try:
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                              ndmin=ndmin)
+        except ValueError as exc:
+            error = exc
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    columns = range(len(header)) if usecols is None else usecols
+    types = [dtype[name] for name in dtype.names] if dtype.names else [dtype] * len(columns)
+    numeric = [(c, t) for c, t in zip(columns, types) if t != object]
+    for k, row in enumerate(rows):
+        if not row:
+            continue  # a blank line, which loadtxt skips too
+        if len(row) != len(header):
+            raise ValueError(f"{path} line {k + 2}: {len(row)} fields, but the header has {len(header)}") from error
+        for c, t in numeric:
+            try:
+                t.type(row[c])
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path} line {k + 2}: {header[c]} {row[c]!r} does not parse as {t}") from error
+    raise ValueError(f"{path}: {error}") from error
+
+
 def read_state_matrix(out_dir) -> StateMatrix:
-    """Read what ``write_state_matrix`` wrote; ``ValueError`` naming the file if its shape disagrees.
+    """Read what ``write_state_matrix`` wrote; ``ValueError`` naming the file and line if its shape disagrees.
 
     ``states.csv`` holds one row per trader of ``states_meta.json``, no trader
-    twice, and each row one state per slice; every ``states_volumes.csv`` row
-    names a trader of ``states.csv`` and a slice index in ``[0, T)``.
+    twice, and each row one state per slice; ``states_volumes.csv`` has the
+    header ``write_state_matrix`` writes, and every row parses, names a trader
+    of ``states.csv`` and a slice index in ``[0, T)``, and no (trader, slice)
+    pair twice.  Both files are parsed column-wise, in one ``np.loadtxt`` pass
+    each.
     """
     out_dir = Path(out_dir)
     meta = json.loads((out_dir / "states_meta.json").read_text())
@@ -107,21 +264,28 @@ def read_state_matrix(out_dir) -> StateMatrix:
         tindex[r[0]] = k
     if len(rows) != meta["n_traders"]:
         raise ValueError(f"{path}: {len(rows)} traders, but states_meta.json has {meta['n_traders']}")
-    sigma = np.array([[int(v) for v in r[1:]] for r in rows], dtype=np.int8)
-    V, G = np.zeros((len(rows), T)), np.zeros((len(rows), T))
-    counts = np.zeros((len(rows), T), dtype=np.int64)
+    sigma = _read_columns(path, np.int8, usecols=range(1, T + 1), ndmin=2) if rows else np.zeros((0, T), np.int8)
     path = out_dir / "states_volumes.csv"
-    with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        for r in rd:
-            k, s = tindex.get(r["trader_id"]), int(r["slice_index"])
-            if k is None:
-                raise ValueError(f"{path} line {rd.line_num}: trader {r['trader_id']!r} is not in states.csv")
-            if not 0 <= s < T:
-                raise ValueError(f"{path} line {rd.line_num}: slice_index {s} is outside [0, {T})")
-            V[k, s] = float(r["net_volume"])
-            G[k, s] = float(r["gross_volume"])
-            counts[k, s] = int(r["n_trades"])
+    volumes = _read_columns(path, _VOLUME_COLUMNS)
+    k = np.array([tindex.get(t, -1) for t in volumes["trader_id"].tolist()], dtype=np.int64)
+    s = volumes["slice_index"]
+    bad = np.flatnonzero((k < 0) | (s < 0) | (s >= T))
+    if bad.size:
+        i = bad[0]
+        if k[i] < 0:
+            raise ValueError(f"{path} line {i + 2}: trader {volumes['trader_id'][i]!r} is not in states.csv")
+        raise ValueError(f"{path} line {i + 2}: slice_index {s[i]} is outside [0, {T})")
+    cell = k * T + s
+    order = np.argsort(cell, kind="stable")
+    repeats = np.flatnonzero(cell[order[1:]] == cell[order[:-1]])
+    if repeats.size:
+        i = np.argmin(order[repeats + 1])
+        first, again = order[repeats[i]], order[repeats[i] + 1]
+        raise ValueError(f"{path} line {again + 2}: trader {volumes['trader_id'][again]!r} slice_index {s[again]} "
+                         f"repeats line {first + 2}")
+    V, G = np.zeros((len(tindex), T)), np.zeros((len(tindex), T))
+    counts = np.zeros((len(tindex), T), dtype=np.int64)
+    V[k, s], G[k, s], counts[k, s] = volumes["net_volume"], volumes["gross_volume"], volumes["n_trades"]
     return StateMatrix(traders=list(tindex), grid=grid, V=V, G=G, sigma=sigma, counts=counts)
 
 
@@ -160,9 +324,15 @@ def write_partition(out_dir, partition: dict, meta: dict | None = None, prefix: 
 
 
 def read_partition(path) -> dict:
+    """``{trader: group label}``; ``ValueError`` naming the file and both lines if a trader is listed twice."""
+    partition, line_of = {}, {}
     with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        return {r["trader_id"]: int(r["group_label"]) for r in rd}
+        for line, r in enumerate(csv.DictReader(fh), 2):
+            t = r["trader_id"]
+            if t in line_of:
+                raise ValueError(f"{path} line {line}: trader {t!r} repeats line {line_of[t]}")
+            partition[t], line_of[t] = int(r["group_label"]), line
+    return partition
 
 
 def write_leadlag(out_dir, network, adjacency):
@@ -193,12 +363,19 @@ def write_forecasts(path, records):
 
 
 def read_forecasts(path):
-    """Rebuild per-slice records; returns list of dicts."""
-    by_slice = {}
+    """Rebuild per-slice records as a list of dicts.
+
+    ``ValueError`` naming the file and both lines if a (slice_end,
+    window_length) pair repeats.
+    """
+    by_slice, line_of = {}, {}
     with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        for r in rd:
-            key = r["slice_end"]
+        for line, r in enumerate(csv.DictReader(fh), 2):
+            key, window = r["slice_end"], int(r["window_length"])
+            if (key, window) in line_of:
+                raise ValueError(f"{path} line {line}: slice_end {key} window_length {window} "
+                                 f"repeats line {line_of[key, window]}")
+            line_of[key, window] = line
             rec = by_slice.setdefault(
                 key,
                 {
@@ -210,7 +387,7 @@ def read_forecasts(path):
                     "realized_vwap_sign": int(r["realized_vwap_sign"]) if r["realized_vwap_sign"] != "" else None,
                 },
             )
-            rec["per_window"][int(r["window_length"])] = int(r["predicted"])
+            rec["per_window"][window] = int(r["predicted"])
     return [by_slice[k] for k in sorted(by_slice)]
 
 

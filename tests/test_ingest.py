@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradeflow.ingest import (
-    ParseError,
     StateMatrix,
     TailFitError,
     build_grid,
     classify_states,
     filter_active,
     fit_tail_exponent,
-    parse_trades,
     states_from_volumes,
     trade_size_histogram,
 )
+from tradeflow.io import ParseError, parse_trades
 
 HEADER = "trader_id,timestamp,instrument,signed_volume,price\n"
 

@@ -1,13 +1,15 @@
 import ast
+import dataclasses
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tradeflow import io as tfio
-from tradeflow.ingest import classify_states, parse_trades
+from tradeflow.ingest import classify_states
 from tradeflow.predict import ForecastRecord
 from tradeflow.svn import LinkCandidate, ValidatedNetwork
 from tradeflow.synth import MarketSpec, generate_market
@@ -25,7 +27,7 @@ def test_trades_round_trip(tmp_path, market):
     path = tmp_path / "trades.csv"
     tfio.write_trades(path, trades)
     with open(path) as fh:
-        back, rejects = parse_trades(fh)
+        back, rejects = tfio.parse_trades(fh)
     assert rejects == []
     assert back.trader_ids == trades.trader_ids and back.instruments == trades.instruments
     for column in ("trader", "timestamp", "instrument", "signed_volume", "price"):
@@ -43,30 +45,52 @@ def test_write_trades_is_pinned(tmp_path):
     assert digest == "6dbc1acdb1221a1e424476fb690eaf16bd8879deffd67bd478034c7e207ef5c8"
 
 
-def test_state_matrix_round_trip(tmp_path, market):
+@pytest.mark.parametrize("shape", ["seeded-market", "awkward-ids", "no-volume-rows", "no-traders"])
+def test_state_matrix_round_trip(tmp_path, market, shape):
+    # awkward ids are ones csv must quote or loadtxt could misread: a NUL, the
+    # delimiter, the quote, the comment mark, edge spaces, a line break, non-ASCII
     trades, truth = market
     m = classify_states(trades, truth.grid)
+    if shape == "awkward-ids":
+        m = dataclasses.replace(m, traders=["tail\x00", "a,b", 'say "hi"', "#hash", "  spaced  ", "two\nlines",
+                                            "Zürich €", "plain"])
+    elif shape == "no-volume-rows":
+        m = dataclasses.replace(m, V=np.zeros_like(m.V), G=np.zeros_like(m.G), sigma=np.zeros_like(m.sigma),
+                                counts=np.zeros_like(m.counts))
+    elif shape == "no-traders":
+        m = dataclasses.replace(m, traders=[], V=m.V[:0], G=m.G[:0], sigma=m.sigma[:0], counts=m.counts[:0])
     tfio.write_state_matrix(tmp_path, m)
-    back = tfio.read_state_matrix(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a file with no data rows
+        back = tfio.read_state_matrix(tmp_path)
     assert back.traders == m.traders
-    assert np.array_equal(back.sigma, m.sigma)
-    assert np.array_equal(back.V, m.V)
-    assert np.array_equal(back.G, m.G)
-    assert np.array_equal(back.counts, m.counts)
+    for name in ("V", "G", "sigma", "counts"):
+        a, b = getattr(back, name), getattr(m, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert np.array_equal(back.grid.starts, m.grid.starts)
     assert back.grid.tz == m.grid.tz
+
+
+def test_write_state_matrix_is_pinned(tmp_path, market):
+    # recorded with the row-by-row writer, before the volume columns were written column-wise
+    trades, truth = market
+    tfio.write_state_matrix(tmp_path, classify_states(trades, truth.grid))
+    assert {name: tfio.file_checksum(tmp_path / name) for name in ("states.csv", "states_volumes.csv")} == {
+        "states.csv": "fc7c76a834e9dd054538934b06969a9b7039ea13010fef51eaf45d3100c7340f",
+        "states_volumes.csv": "cc134cd6c099fa9a19c6ef3424fd62ef26b6aa8088e4ece687c38baf450ff53e",
+    }
 
 
 def _drop_last_state(text):
     return "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines()) + "\n"
 
 
-def _edit_first_volume_row(field, value):
+def _edit_row(line, field, value):
     def edit(text):
         lines = text.splitlines()
-        row = lines[1].split(",")
-        row[field] = value
-        return "\n".join(lines[:1] + [",".join(row)] + lines[2:]) + "\n"
+        row = lines[line - 1].split(",")
+        row[field:field + 1] = [] if value is None else [value]
+        return "\n".join(lines[:line - 1] + [",".join(row)] + lines[line:]) + "\n"
     return edit
 
 
@@ -85,13 +109,24 @@ def _add_a_trader(text):
     "name, edit, message",
     [
         ("states.csv", _drop_last_state, r"states\.csv line 2: \d+ states, but states_meta\.json has \d+ slices"),
-        ("states_volumes.csv", _edit_first_volume_row(0, "nobody"), r"states_volumes\.csv line 2: trader 'nobody'"),
-        ("states_volumes.csv", _edit_first_volume_row(1, "-1"), r"states_volumes\.csv line 2: slice_index -1 is outside"),
-        ("states_volumes.csv", _edit_first_volume_row(1, "100000"), r"states_volumes\.csv line 2: slice_index 100000"),
+        ("states_volumes.csv", _edit_row(2, 0, "nobody"), r"states_volumes\.csv line 2: trader 'nobody'"),
+        ("states_volumes.csv", _edit_row(2, 1, "-1"), r"states_volumes\.csv line 2: slice_index -1 is outside"),
+        ("states_volumes.csv", _edit_row(2, 1, "100000"), r"states_volumes\.csv line 2: slice_index 100000"),
         ("states.csv", _repeat_first_row, r"states\.csv line 3: trader '\w+' repeats line 2"),
         ("states_meta.json", _add_a_trader, r"states\.csv: 8 traders, but states_meta\.json has 9"),
+        ("states.csv", _edit_row(3, 5, "x"), r"states\.csv line 3: \S+ 'x' does not parse as int8"),
+        ("states.csv", _edit_row(2, 1, "300"), r"states\.csv line 2: \S+ '300' does not parse as int8"),
+        ("states_volumes.csv", _edit_row(4, 4, None), r"states_volumes\.csv line 4: 4 fields, but the header has 5"),
+        ("states_volumes.csv", _edit_row(3, 2, "x"), r"states_volumes\.csv line 3: net_volume 'x' does not parse"),
+        ("states_volumes.csv", _edit_row(2, 4, "1.0"), r"states_volumes\.csv line 2: n_trades '1\.0'"),
+        ("states_volumes.csv", _repeat_first_row,
+         r"states_volumes\.csv line 3: trader '\w+' slice_index \d+ repeats line 2"),
+        ("states_volumes.csv", lambda text: text.replace("net_volume,gross_volume", "gross_volume,net_volume", 1),
+         r"states_volumes\.csv line 1: header 'trader_id,slice_index,gross_volume,net_volume,"),
     ],
-    ids=["short-states-row", "unknown-trader", "negative-slice", "slice-past-end", "repeated-trader", "missing-trader"],
+    ids=["short-states-row", "unknown-trader", "negative-slice", "slice-past-end", "repeated-trader", "missing-trader",
+         "non-number-state", "state-out-of-int8", "short-volume-row", "non-number-volume", "fractional-count",
+         "repeated-volume-cell", "reordered-columns"],
 )
 def test_state_matrix_shape_mismatch_is_refused(tmp_path, market, name, edit, message):
     trades, truth = market
@@ -118,6 +153,12 @@ def test_svn_edges_round_trip(tmp_path):
     assert (back.threshold, back.n_tests, back.p0, back.T) == (0.0, 0, 0.0, 0)
 
 
+def _reads_a_file(call: ast.Call) -> bool:
+    fn = call.func
+    owner = getattr(fn.value, "id", "") if isinstance(fn, ast.Attribute) else ""
+    return (owner, getattr(fn, "attr", "")) in (("csv", "reader"), ("csv", "DictReader"), ("np", "loadtxt"))
+
+
 def _writes_a_file(call: ast.Call) -> bool:
     fn = call.func
     name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
@@ -133,13 +174,16 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 
 def test_only_io_writes_files():
-    writes = {
-        path.name: [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                    if isinstance(node, ast.Call) and _writes_a_file(node)]
+    # ...and only io parses CSV files
+    calls = {
+        path.name: [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
         for path in sorted(Path(tfio.__file__).parent.glob("*.py"))
     }
-    assert len(writes.pop("io.py")) >= 3  # its open(..., "w"), csv.writer and write_text: the scan sees them
-    assert {name: lines for name, lines in writes.items() if lines} == {}
+    io_calls = calls.pop("io.py")
+    assert sum(map(_writes_a_file, io_calls)) >= 3  # its open(..., "w"), csv.writer and write_text: the scan sees them
+    assert sum(map(_reads_a_file, io_calls)) >= 3  # its csv.reader, csv.DictReader and np.loadtxt
+    found = {name: [c.lineno for c in nodes if _writes_a_file(c) or _reads_a_file(c)] for name, nodes in calls.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_partition_round_trip(tmp_path):
@@ -147,6 +191,13 @@ def test_partition_round_trip(tmp_path):
     tfio.write_partition(tmp_path, part, meta={"n_modules": 2})
     back = tfio.read_partition(tmp_path / "partition.csv")
     assert back == part
+
+
+def test_partition_with_a_repeated_trader_is_refused(tmp_path):
+    path = tmp_path / "partition.csv"
+    tfio.write_rows(path, ["trader_id", "group_label"], [("a", 1), ("b", 2), ("a", 3)])
+    with pytest.raises(ValueError, match=r"partition\.csv line 4: trader 'a' repeats line 2"):
+        tfio.read_partition(path)
 
 
 def test_forecast_round_trip(tmp_path):
@@ -171,6 +222,15 @@ def test_forecast_round_trip(tmp_path):
     assert back[0]["realized_vwap_sign"] is None
     assert back[1]["realized_flow"] == -10.0
     assert back[1]["realized_vwap_sign"] == -1
+
+
+def test_forecasts_with_a_repeated_slice_and_window_are_refused(tmp_path):
+    record = ForecastRecord(slice_index=10, slice_end=1704103200000, per_window={45: 1, 50: -1}, combined=0,
+                            realized_sign=1, realized_flow=1234.5, realized_vwap_sign=None)
+    path = tmp_path / "forecasts.csv"
+    tfio.write_forecasts(path, [record, dataclasses.replace(record, per_window={45: -1}, combined=-1)])
+    with pytest.raises(ValueError, match=r"forecasts\.csv line 4: slice_end \S+ window_length 45 repeats line 2"):
+        tfio.read_forecasts(path)
 
 
 def test_checksum_changes_with_content(tmp_path):
