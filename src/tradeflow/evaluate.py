@@ -188,7 +188,7 @@ def roc_auc(scores, outcomes) -> float:
     return float((ranks[: len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0) / (len(pos) * len(neg)))
 
 
-def sample_tests(predicted, realized_sign, realized_flow, seed: int = 0, n_permutations: int = 10_000) -> dict:
+def sample_tests(predicted, realized_sign, realized_flow, seed: int = 0) -> dict:
     """The predictive-power test on the signs and the location tests on ``predicted * realized_flow``.
 
     Returns ``{"chou_chu", "t", "wilcoxon"}`` (TestResults or None).  A test
@@ -198,7 +198,7 @@ def sample_tests(predicted, realized_sign, realized_flow, seed: int = 0, n_permu
     """
     out = {}
     try:
-        out["chou_chu"] = chou_chu_test(predicted, realized_sign, seed=seed, n_permutations=n_permutations)
+        out["chou_chu"] = chou_chu_test(predicted, realized_sign, seed=seed)
     except ValueError as exc:
         out["chou_chu"], out["chou_chu_note"] = None, str(exc)
     try:
@@ -213,24 +213,18 @@ def sample_tests(predicted, realized_sign, realized_flow, seed: int = 0, n_permu
     return out
 
 
-def hourly_condition(
-    predicted,
-    realized_sign,
-    realized_flow,
-    hours,
-    min_per_hour: int = 30,
-    seed: int = 0,
-    n_permutations: int = 10_000,
-):
+MIN_PER_HOUR = 30  # observations an hour needs to be tested
+
+
+def hourly_condition(predicted, realized_sign, realized_flow, hours):
     """Run :func:`sample_tests` within each session hour.
 
-    Hours with fewer than ``min_per_hour`` observations are omitted with a
+    Hours with fewer than ``MIN_PER_HOUR`` observations are omitted with a
     note.  Returns ``(table, omitted)`` where ``table`` maps hour to
     ``{"n", "chou_chu", "t", "wilcoxon"}`` plus the ``chou_chu_note`` and
     ``location_note`` of each test the hour cannot support, so an hour whose
-    tests all read None says why.  Every hour's Chou-Chu
-    permutations start from the same ``seed``; :func:`forecast_report`
-    passes none, so report hours are always seeded with 0.
+    tests all read None says why.  Every hour's Chou-Chu permutations are
+    seeded with 0.
     """
     predicted = np.asarray(predicted)
     realized_sign = np.asarray(realized_sign)
@@ -240,10 +234,10 @@ def hourly_condition(
     for h in np.unique(hours):
         sel = hours == h
         n = int(sel.sum())
-        if n < min_per_hour:
-            omitted[int(h)] = f"only {n} observations (need {min_per_hour})"
+        if n < MIN_PER_HOUR:
+            omitted[int(h)] = f"only {n} observations (need {MIN_PER_HOUR})"
             continue
-        tests = sample_tests(predicted[sel], realized_sign[sel], realized_flow[sel], seed, n_permutations)
+        tests = sample_tests(predicted[sel], realized_sign[sel], realized_flow[sel], seed=0)
         table[int(h)] = {"n": n, **tests}
     return table, omitted
 

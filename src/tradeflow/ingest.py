@@ -269,7 +269,11 @@ class TailFitError(ValueError):
     pass
 
 
-def fit_tail_exponent(counts, min_samples: int = 1000, min_tail: int = 50) -> TailFit:
+TAIL_MIN_SAMPLES = 1000  # positive counts a tail fit needs
+TAIL_MIN_SIZE = 50  # smallest tail x >= x_min a candidate x_min may leave
+
+
+def fit_tail_exponent(counts) -> TailFit:
     """Fit a discrete power-law tail exponent to per-trader trade counts.
 
     Discrete MLE ``alpha = 1 + n / sum(log(x / (x_min - 1/2)))`` over the
@@ -279,8 +283,8 @@ def fit_tail_exponent(counts, min_samples: int = 1000, min_tail: int = 50) -> Ta
     """
     x = np.asarray(counts, dtype=np.float64)
     x = x[x > 0]
-    if len(x) < min_samples:
-        raise TailFitError(f"need at least {min_samples} positive counts, got {len(x)}")
+    if len(x) < TAIL_MIN_SAMPLES:
+        raise TailFitError(f"need at least {TAIL_MIN_SAMPLES} positive counts, got {len(x)}")
     if np.all(x == x[0]):
         raise TailFitError("degenerate input: all counts equal")
     xs = np.sort(x)
@@ -291,7 +295,7 @@ def fit_tail_exponent(counts, min_samples: int = 1000, min_tail: int = 50) -> Ta
             continue
         tail = xs[xs >= xmin]
         n = len(tail)
-        if n < min_tail:
+        if n < TAIL_MIN_SIZE:
             break
         denom = np.sum(np.log(tail / (xmin - 0.5)))
         if denom <= 0:

@@ -9,8 +9,11 @@ into.  Each reader sits next to its writer.
 
 The state matrix is written and parsed column-wise: one ``np.loadtxt`` pass
 per CSV.  Readers refuse malformed input with a ``ValueError`` that names the
-file and line: a row that does not parse, a trader listed twice in a
-partition, and a repeated cell of a state matrix or of a forecast file.
+file and line: a header other than the writer's (``states.csv`` aside), a row
+that does not parse, a trader listed twice in a partition, a repeated cell of a
+state matrix or of a forecast file, and a forecast slice whose windows disagree
+on its realized values.  Lines are physical lines: a blank line counts, and so
+does each line break inside a quoted field.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ from .svn import LinkCandidate, ValidatedNetwork
 TRADE_FIELDS = ("trader_id", "timestamp", "instrument", "signed_volume", "price")
 _VOLUME_COLUMNS = np.dtype([("trader_id", object), ("slice_index", np.int64), ("net_volume", np.float64),
                             ("gross_volume", np.float64), ("n_trades", np.int64)])  # states_volumes.csv
+_SVN_EDGE_COLUMNS = np.dtype([("i", object), ("j", object), ("state_i", np.int64), ("state_j", np.int64),
+                              ("co_count", np.int64), ("p_value", np.float64)])
+_PARTITION_COLUMNS = np.dtype([("trader_id", object), ("group_label", np.int64)])
+_FORECAST_COLUMNS = np.dtype([("slice_end", object), ("window_length", np.int64), ("predicted", np.int64),
+                              ("combined", np.int64), ("realized_sign", np.int64), ("realized_flow", np.float64),
+                              ("realized_vwap_sign", object)])  # blank when no VWAP was realized
 
 
 def _write_csv(path, header, rows):
@@ -191,13 +200,30 @@ def write_state_matrix(out_dir, matrix: StateMatrix):
     })
 
 
+def _records(fh):
+    """``(line, row)`` for each CSV record of ``fh``, ``line`` being the physical
+    line the record starts on; blank lines, which ``np.loadtxt`` skips too, give no record."""
+    reader = csv.reader(fh)
+    line = 1
+    for row in reader:
+        if row:
+            yield line, row
+        line = reader.line_num + 1
+
+
+def _data_lines(path):
+    """The line each data record of a CSV starts on: entry i is loadtxt's data row i."""
+    with open(path, newline="") as fh:
+        return [line for line, _ in _records(fh)][1:]
+
+
 def _read_columns(path, dtype, usecols=None, ndmin=1):
     """The data rows of a CSV that ``_write_csv`` wrote, parsed in one ``np.loadtxt`` pass.
 
     The field names of a structured ``dtype`` must be the header.  A file with
     no data rows gives an empty array (loadtxt would warn).  A row loadtxt
     refuses is looked up again with the csv module, so the ``ValueError``
-    names the file and line (data-row index + 2).
+    names the file and line.
     """
     dtype = np.dtype(dtype)
     with open(path, newline="") as fh:  # decoded as the writer encoded it
@@ -214,20 +240,18 @@ def _read_columns(path, dtype, usecols=None, ndmin=1):
         except ValueError as exc:
             error = exc
     with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
+        (_, header), *rows = _records(fh)
     columns = range(len(header)) if usecols is None else usecols
     types = [dtype[name] for name in dtype.names] if dtype.names else [dtype] * len(columns)
     numeric = [(c, t) for c, t in zip(columns, types) if t != object]
-    for k, row in enumerate(rows):
-        if not row:
-            continue  # a blank line, which loadtxt skips too
+    for line, row in rows:
         if len(row) != len(header):
-            raise ValueError(f"{path} line {k + 2}: {len(row)} fields, but the header has {len(header)}") from error
+            raise ValueError(f"{path} line {line}: {len(row)} fields, but the header has {len(header)}") from error
         for c, t in numeric:
             try:
                 t.type(row[c])
             except (ValueError, OverflowError):
-                raise ValueError(f"{path} line {k + 2}: {header[c]} {row[c]!r} does not parse as {t}") from error
+                raise ValueError(f"{path} line {line}: {header[c]} {row[c]!r} does not parse as {t}") from error
     raise ValueError(f"{path}: {error}") from error
 
 
@@ -254,13 +278,13 @@ def read_state_matrix(out_dir) -> StateMatrix:
     T = len(grid)
     path = out_dir / "states.csv"
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+        rows = list(_records(fh))[1:]
     tindex = {}
-    for k, r in enumerate(rows):
+    for k, (line, r) in enumerate(rows):
         if len(r) != 1 + T:
-            raise ValueError(f"{path} line {k + 2}: {len(r) - 1} states, but states_meta.json has {T} slices")
+            raise ValueError(f"{path} line {line}: {len(r) - 1} states, but states_meta.json has {T} slices")
         if r[0] in tindex:
-            raise ValueError(f"{path} line {k + 2}: trader {r[0]!r} repeats line {tindex[r[0]] + 2}")
+            raise ValueError(f"{path} line {line}: trader {r[0]!r} repeats line {rows[tindex[r[0]]][0]}")
         tindex[r[0]] = k
     if len(rows) != meta["n_traders"]:
         raise ValueError(f"{path}: {len(rows)} traders, but states_meta.json has {meta['n_traders']}")
@@ -271,18 +295,19 @@ def read_state_matrix(out_dir) -> StateMatrix:
     s = volumes["slice_index"]
     bad = np.flatnonzero((k < 0) | (s < 0) | (s >= T))
     if bad.size:
-        i = bad[0]
+        i, line = bad[0], _data_lines(path)[bad[0]]
         if k[i] < 0:
-            raise ValueError(f"{path} line {i + 2}: trader {volumes['trader_id'][i]!r} is not in states.csv")
-        raise ValueError(f"{path} line {i + 2}: slice_index {s[i]} is outside [0, {T})")
+            raise ValueError(f"{path} line {line}: trader {volumes['trader_id'][i]!r} is not in states.csv")
+        raise ValueError(f"{path} line {line}: slice_index {s[i]} is outside [0, {T})")
     cell = k * T + s
     order = np.argsort(cell, kind="stable")
     repeats = np.flatnonzero(cell[order[1:]] == cell[order[:-1]])
     if repeats.size:
         i = np.argmin(order[repeats + 1])
         first, again = order[repeats[i]], order[repeats[i] + 1]
-        raise ValueError(f"{path} line {again + 2}: trader {volumes['trader_id'][again]!r} slice_index {s[again]} "
-                         f"repeats line {first + 2}")
+        lines = _data_lines(path)
+        raise ValueError(f"{path} line {lines[again]}: trader {volumes['trader_id'][again]!r} "
+                         f"slice_index {s[again]} repeats line {lines[first]}")
     V, G = np.zeros((len(tindex), T)), np.zeros((len(tindex), T))
     counts = np.zeros((len(tindex), T), dtype=np.int64)
     V[k, s], G[k, s], counts[k, s] = volumes["net_volume"], volumes["gross_volume"], volumes["n_trades"]
@@ -291,7 +316,7 @@ def read_state_matrix(out_dir) -> StateMatrix:
 
 def write_svn(out_dir, network: ValidatedNetwork):
     out_dir = Path(out_dir)
-    _write_csv(out_dir / "svn_edges.csv", ["i", "j", "state_i", "state_j", "co_count", "p_value"],
+    _write_csv(out_dir / "svn_edges.csv", _SVN_EDGE_COLUMNS.names,
                ([e.i, e.j, e.state_i, e.state_j, e.co_count, repr(e.p_value)] for e in network.edges))
     write_json(out_dir / "svn_meta.json", {
         "T": network.T,
@@ -305,19 +330,15 @@ def write_svn(out_dir, network: ValidatedNetwork):
 
 def read_svn_edges(path) -> ValidatedNetwork:
     """The network of ``svn_edges.csv``; the file stores no n_i, n_j, T or threshold, so they read 0."""
-    with open(path, newline="") as fh:
-        edges = [
-            LinkCandidate(i=r["i"], j=r["j"], state_i=int(r["state_i"]), state_j=int(r["state_j"]),
-                          co_count=int(r["co_count"]), n_i=0, n_j=0, T=0, p_value=float(r["p_value"]))
-            for r in csv.DictReader(fh)
-        ]
+    edges = [LinkCandidate(i=i, j=j, state_i=si, state_j=sj, co_count=c, n_i=0, n_j=0, T=0, p_value=p)
+             for i, j, si, sj, c, p in _read_columns(path, _SVN_EDGE_COLUMNS).tolist()]
     nodes = sorted({e.i for e in edges} | {e.j for e in edges}, key=str)
     return ValidatedNetwork(nodes=nodes, edges=edges, threshold=0.0, n_tests=0, p0=0.0, T=0)
 
 
 def write_partition(out_dir, partition: dict, meta: dict | None = None, prefix: str = "partition"):
     out_dir = Path(out_dir)
-    _write_csv(out_dir / f"{prefix}.csv", ["trader_id", "group_label"],
+    _write_csv(out_dir / f"{prefix}.csv", _PARTITION_COLUMNS.names,
                ([t, partition[t]] for t in sorted(partition, key=str)))
     if meta is not None:
         write_json(out_dir / f"{prefix}_meta.json", meta)
@@ -325,13 +346,14 @@ def write_partition(out_dir, partition: dict, meta: dict | None = None, prefix: 
 
 def read_partition(path) -> dict:
     """``{trader: group label}``; ``ValueError`` naming the file and both lines if a trader is listed twice."""
-    partition, line_of = {}, {}
-    with open(path, newline="") as fh:
-        for line, r in enumerate(csv.DictReader(fh), 2):
-            t = r["trader_id"]
-            if t in line_of:
-                raise ValueError(f"{path} line {line}: trader {t!r} repeats line {line_of[t]}")
-            partition[t], line_of[t] = int(r["group_label"]), line
+    rows = _read_columns(path, _PARTITION_COLUMNS).tolist()
+    partition = dict(rows)
+    if len(partition) < len(rows):
+        row_of, lines = {}, _data_lines(path)
+        for k, (t, _) in enumerate(rows):
+            if t in row_of:
+                raise ValueError(f"{path} line {lines[k]}: trader {t!r} repeats line {lines[row_of[t]]}")
+            row_of[t] = k
     return partition
 
 
@@ -355,7 +377,7 @@ def write_leadlag(out_dir, network, adjacency):
 def write_forecasts(path, records):
     _write_csv(
         path,
-        ["slice_end", "window_length", "predicted", "combined", "realized_sign", "realized_flow", "realized_vwap_sign"],
+        _FORECAST_COLUMNS.names,
         ([iso_ms(r.slice_end), T_in, pred, r.combined, r.realized_sign, repr(r.realized_flow),
           "" if r.realized_vwap_sign is None else r.realized_vwap_sign]
          for r in records for T_in, pred in sorted(r.per_window.items())),
@@ -366,28 +388,29 @@ def read_forecasts(path):
     """Rebuild per-slice records as a list of dicts.
 
     ``ValueError`` naming the file and both lines if a (slice_end,
-    window_length) pair repeats.
+    window_length) pair repeats, or if two rows of a slice disagree on
+    ``combined`` or a realized value.
     """
-    by_slice, line_of = {}, {}
-    with open(path, newline="") as fh:
-        for line, r in enumerate(csv.DictReader(fh), 2):
-            key, window = r["slice_end"], int(r["window_length"])
-            if (key, window) in line_of:
-                raise ValueError(f"{path} line {line}: slice_end {key} window_length {window} "
-                                 f"repeats line {line_of[key, window]}")
-            line_of[key, window] = line
-            rec = by_slice.setdefault(
-                key,
-                {
-                    "slice_end": key,
-                    "per_window": {},
-                    "combined": int(r["combined"]),
-                    "realized_sign": int(r["realized_sign"]),
-                    "realized_flow": float(r["realized_flow"]),
-                    "realized_vwap_sign": int(r["realized_vwap_sign"]) if r["realized_vwap_sign"] != "" else None,
-                },
-            )
-            rec["per_window"][window] = int(r["predicted"])
+    rows = _read_columns(path, _FORECAST_COLUMNS).tolist()
+    by_slice, pair_row, slice_row = {}, {}, {}
+    for k, (key, window, predicted, combined, sign, flow, vwap) in enumerate(rows):
+        if vwap not in ("", "-1", "0", "1"):
+            raise ValueError(f"{path} line {_data_lines(path)[k]}: realized_vwap_sign {vwap!r} is not -1, 0, 1 "
+                             "or blank")
+        if (key, window) in pair_row:
+            lines = _data_lines(path)
+            raise ValueError(f"{path} line {lines[k]}: slice_end {key} window_length {window} "
+                             f"repeats line {lines[pair_row[key, window]]}")
+        pair_row[key, window], first = k, slice_row.setdefault(key, k)
+        if rows[k][3:] != rows[first][3:]:
+            lines = _data_lines(path)
+            differ = [name for name, a, b in zip(_FORECAST_COLUMNS.names[3:], rows[k][3:], rows[first][3:]) if a != b]
+            raise ValueError(f"{path} line {lines[k]}: slice_end {key} disagrees with line {lines[first]} "
+                             f"on {', '.join(differ)}")
+        if first == k:
+            by_slice[key] = {"slice_end": key, "per_window": {}, "combined": combined, "realized_sign": sign,
+                             "realized_flow": flow, "realized_vwap_sign": int(vwap) if vwap else None}
+        by_slice[key]["per_window"][window] = predicted
     return [by_slice[k] for k in sorted(by_slice)]
 
 

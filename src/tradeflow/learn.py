@@ -47,10 +47,10 @@ of sets per tree at once (32, fewer when a call takes over 32 words) from
 raw words (``random_raw``) with array arithmetic, replays a tree whose block
 holds a rejected word one draw at a time from the rejected set on
 (`_replay_choice`), and carries unused words over to the tree's next block.
-For more than 10,000 columns with m > K // 50 numpy instead shuffles the
-tail of ``arange(K)`` (a partial Fisher-Yates shuffle, same bounded draws),
-which `_replay_choice` replays draw by draw.  Nothing reads the generators
-after growing, so the words drawn ahead and never used change no output.
+The forest draws m = ceil(sqrt(K)) candidates, which for K > 10,000 is at
+most K // 50, so numpy's ``choice`` always takes Floyd's branch.  Nothing
+reads the generators after growing, so the words drawn ahead and never used
+change no output.
 """
 
 from __future__ import annotations
@@ -63,14 +63,11 @@ import numpy as np
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 500
-    mtry: int | None = None  # candidate features per split; default ceil(sqrt(K))
     min_node_size: int = 5
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.mtry is not None and self.mtry < 1:
-            raise ValueError(f"mtry must be >= 1 or None, got {self.mtry}")
         if self.min_node_size < 1:
             raise ValueError(f"min_node_size must be >= 1, got {self.min_node_size}")
 
@@ -144,12 +141,6 @@ def _split_impurities(table, n_occupied, node_size):
 _LOW = np.uint64(0xFFFFFFFF)
 
 
-def _floyd(K, m) -> bool:
-    """Whether numpy's ``choice(K, m, replace=False)`` samples by Floyd's
-    algorithm; otherwise it shuffles the tail of ``arange(K)``."""
-    return K <= 10_000 or m <= K // 50
-
-
 def _replay_choice(words, bit_generator, K, m, calls):
     """Sorted results of ``calls`` calls of ``choice(K, m, replace=False)``,
     one draw at a time, on the 32-bit words ``words`` and then on the halves
@@ -172,22 +163,14 @@ def _replay_choice(words, bit_generator, K, m, calls):
 
     sets = []
     for _ in range(calls):
-        if _floyd(K, m):
-            # Floyd's sampling, then numpy's shuffle of the picks, whose draws only use up words
-            kept, seen = [], set()
-            for j in range(K - m, K):
-                v = draw(j)
-                kept.append(j if v in seen else v)
-                seen.add(kept[-1])
-            for i in range(m - 1, 0, -1):
-                draw(i)
-        else:
-            # a partial Fisher-Yates shuffle of arange(K) that keeps its last m entries
-            swapped = {}
-            for i in range(K - 1, max(K - m, 1) - 1, -1):
-                j = draw(i)
-                swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
-            kept = [swapped.get(i, i) for i in range(K - m, K)]
+        # Floyd's sampling, then numpy's shuffle of the picks, whose draws only use up words
+        kept, seen = [], set()
+        for j in range(K - m, K):
+            v = draw(j)
+            kept.append(j if v in seen else v)
+            seen.add(kept[-1])
+        for i in range(m - 1, 0, -1):
+            draw(i)
         sets.append(sorted(kept))
     return np.array(sets, dtype=np.int64).reshape(calls, m), np.array(words[pos:], dtype=np.uint64)
 
@@ -231,10 +214,6 @@ class _CandidateDraws:
     def _refill(self, trees):
         B, W, K, m = self.block, len(self.span), self.K, self.m
         self.served[trees] = 0
-        if not _floyd(K, m):
-            for t in trees.tolist():
-                self.sets[t], self.carry[t] = _replay_choice(self.carry[t], self.rngs[t].bit_generator, K, m, B)
-            return
         words = np.array([self._words(t, B * W) for t in trees.tolist()], dtype=np.uint64).reshape(len(trees), B, W)
         product = words * self.span
         rejected = (product & _LOW) < self.threshold
@@ -255,7 +234,7 @@ class _CandidateDraws:
             self.sets[t, s:], self.carry[t] = _replay_choice(rest, self.rngs[t].bit_generator, K, m, B - s)
 
 
-def _grow_forest(Xenc, ycls, boots, rngs, mtry, min_node_size, n_levels, n_classes) -> Trees:
+def _grow_forest(Xenc, ycls, boots, rngs, min_node_size, n_levels, n_classes) -> Trees:
     """Grow one tree per (bootstrap, generator) pair, all trees in lockstep."""
     T, n, K, C = len(boots), len(Xenc), Xenc.shape[1], n_classes
     # tree t's rows sit at t*n:(t+1)*n; every node owns a contiguous segment of them
@@ -271,7 +250,7 @@ def _grow_forest(Xenc, ycls, boots, rngs, mtry, min_node_size, n_levels, n_class
     visited = np.zeros(T, dtype=np.int64)
     # one record per visited node: (tree, preorder index, parent, level, feature, counts...)
     records = [np.empty((0, 5 + C), dtype=np.int64)]
-    m = min(mtry, K)
+    m = int(np.ceil(np.sqrt(K)))
     draws = _CandidateDraws(rngs, K, m)
     tree = np.arange(T)
     while tree.size:
@@ -386,11 +365,9 @@ def train_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> 
     degenerate = len(classes) == 1
     rngs = [np.random.default_rng([seed, t]) for t in range(0 if degenerate else config.n_trees)]
     boots = [rng.integers(0, n, size=n) for rng in rngs]
-    K = X.shape[1]
-    mtry = config.mtry if config.mtry is not None else int(np.ceil(np.sqrt(K)))
     n_levels = np.array([len(lv) for lv in levels])
     trees = _grow_forest(
-        Xenc, np.searchsorted(classes, y), boots, rngs, mtry, config.min_node_size, n_levels, len(classes)
+        Xenc, np.searchsorted(classes, y), boots, rngs, config.min_node_size, n_levels, len(classes)
     )
     return ForestModel(
         classes=classes,
@@ -530,12 +507,18 @@ def _one_hot(X, levels=None):
     return np.hstack([np.ones((len(Xenc), 1)), *blocks]), levels
 
 
-def train_logistic(X, y, l2: float = 1e-4, max_iter: int = 100, tol: float = 1e-8) -> LogisticModel:
+L2_PENALTY = 1e-4  # ridge penalty of the logistic baseline's non-intercept coefficients
+IRLS_MAX_ITER = 100
+IRLS_TOL = 1e-8  # IRLS stops once a step's Euclidean norm falls below this
+
+
+def train_logistic(X, y) -> LogisticModel:
     """Binary logistic baseline on one-hot encoded categorical columns.
 
     Rows with target 0 are dropped; targets must then be -1/+1.  Fitted by
-    IRLS with ridge penalty on all non-intercept coefficients, which keeps
-    perfectly separable problems well-posed.
+    IRLS (at most ``IRLS_MAX_ITER`` steps) with a ridge penalty of
+    ``L2_PENALTY`` on all non-intercept coefficients, which keeps perfectly
+    separable problems well-posed.
     """
     X = np.asarray(X)
     y = np.asarray(y)
@@ -546,11 +529,11 @@ def train_logistic(X, y, l2: float = 1e-4, max_iter: int = 100, tol: float = 1e-
     Z, levels = _one_hot(X)
     t = (y + 1) / 2.0
     beta = np.zeros(Z.shape[1])
-    pen = np.full(Z.shape[1], l2)
+    pen = np.full(Z.shape[1], L2_PENALTY)
     pen[0] = 0.0  # intercept unpenalized
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         eta = Z @ beta
         p = 1.0 / (1.0 + np.exp(-np.clip(eta, -35, 35)))
         w = np.maximum(p * (1 - p), 1e-12)
@@ -558,7 +541,7 @@ def train_logistic(X, y, l2: float = 1e-4, max_iter: int = 100, tol: float = 1e-
         H = (Z * w[:, None]).T @ Z + np.diag(pen + 1e-12)
         step = np.linalg.solve(H, grad)
         beta = beta + step
-        if np.linalg.norm(step) < tol:
+        if np.linalg.norm(step) < IRLS_TOL:
             converged = True
             break
     return LogisticModel(levels=levels, coef=beta, converged=converged, n_iter=it)

@@ -29,13 +29,14 @@ def overlap(prev_members: set, new_members: set) -> OverlapScore:
     return OverlapScore(oa=inter, op=inter / union if union else 0.0)
 
 
-def relabel_partition(previous: dict, new_raw: dict, next_fresh: int | None = None):
+def relabel_partition(previous: dict, new_raw: dict, next_fresh: int):
     """Propagate previous group labels onto a new raw partition.
 
     Each previous label goes to the new cluster with maximal normalized
     overlap; matching is greedy in decreasing overlap (ties broken by larger
     absolute overlap, then smaller previous label) and one-to-one.  Unmatched
-    new clusters receive fresh labels.  Returns ``(labeled, next_fresh)``.
+    new clusters receive fresh labels from ``next_fresh`` on, in label order.
+    Returns ``(labeled, next_fresh)`` with the next label still unused.
     """
     prev_groups = {}
     for t, g in previous.items():
@@ -62,8 +63,6 @@ def relabel_partition(previous: dict, new_raw: dict, next_fresh: int | None = No
         used_prev.add(pg)
         used_new.add(ng)
 
-    if next_fresh is None:
-        next_fresh = max((g for g in prev_groups), default=0) + 1
     labeled = {}
     fresh = {}
     for ng in sorted(new_groups, key=_label_key):

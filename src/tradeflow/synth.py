@@ -47,6 +47,8 @@ class MarketSpec:
     seed: int = 0
 
     def validate(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if any(s < 1 for s in self.group_sizes):
             raise ValueError("group sizes must be positive")
         for f in (self.sync_fidelity, self.copy_fidelity):
@@ -89,10 +91,10 @@ def _draw_states(rng, size, neutral_prob):
     return rng.choice(np.array([-1, 1, 2], dtype=np.int8), size=size, p=[p_dir, p_dir, neutral_prob])
 
 
-def sample_trade_counts(rng, n: int, alpha: float, x_min: int = 1, cap: int = 10**6) -> np.ndarray:
-    """Discrete power-law activity totals, P(n) ~ n^-alpha for n >= x_min."""
+def sample_trade_counts(rng, n: int, alpha: float, cap: int = 10**6) -> np.ndarray:
+    """Discrete power-law activity totals, P(n) ~ n^-alpha for n >= 1."""
     u = rng.random(n)
-    x = np.floor((x_min - 0.5) * (1.0 - u) ** (-1.0 / (alpha - 1.0)) + 0.5)
+    x = np.floor(0.5 * (1.0 - u) ** (-1.0 / (alpha - 1.0)) + 0.5)
     return np.minimum(x, cap).astype(np.int64)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -14,6 +15,9 @@ import tradeflow
 from tradeflow import cli
 from tradeflow import io as tfio
 from tradeflow.cli import RunConfig, main
+from tradeflow.learn import ForestConfig
+from tradeflow.predict import CalibrationSchedule
+from tradeflow.svn import FdrConfig
 
 SMALL_CONFIG = {
     "top_n": 100,
@@ -82,10 +86,19 @@ def test_config_defaults_and_validation(tmp_path):
         "market: {n_noise_traders: -1}\n", "market: {member_rate: -1}\n", "market: {neutral_prob: 2}\n",
         "market: {start_date: bogus}\n",
         "window_lengths: []\n",
+        # numpy refuses these seeds only once synth draws
+        "seed: -1\n", "seed: 1.5\n", "seed: '7'\n",
     ):
         bad.write_text(text)
         with pytest.raises(SystemExit, match="config error"):
             RunConfig.load(str(bad))
+
+
+def test_every_library_config_field_is_a_run_config_key():
+    # a library option that no config key reaches could only ever be set by tests
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    for config in (ForestConfig, CalibrationSchedule, FdrConfig):
+        assert {f.name for f in dataclasses.fields(config)} <= keys, config.__name__
 
 
 def test_config_date_range_loads(tmp_path):

@@ -149,7 +149,7 @@ def test_hourly_condition_partitions_and_omits():
     pred = np.concatenate([pred, [1] * 5])
     real = np.concatenate([real, [1] * 5])
     flows = real * 100.0
-    table, omitted = hourly_condition(pred, real, flows, hours, n_permutations=500)
+    table, omitted = hourly_condition(pred, real, flows, hours)
     assert set(table) == {9, 10}
     assert table[9]["chou_chu"].p_value < 0.01
     assert 15 in omitted

@@ -99,6 +99,13 @@ def _repeat_first_row(text):
     return "\n".join(lines[:2] + lines[1:]) + "\n"
 
 
+def _then_a_blank_line(edit):
+    def edited(text):
+        header, rest = edit(text).split("\n", 1)
+        return header + "\n\n" + rest
+    return edited
+
+
 def _add_a_trader(text):
     meta = json.loads(text)
     meta["n_traders"] += 1
@@ -123,10 +130,17 @@ def _add_a_trader(text):
          r"states_volumes\.csv line 3: trader '\w+' slice_index \d+ repeats line 2"),
         ("states_volumes.csv", lambda text: text.replace("net_volume,gross_volume", "gross_volume,net_volume", 1),
          r"states_volumes\.csv line 1: header 'trader_id,slice_index,gross_volume,net_volume,"),
+        # a blank line is a line: loadtxt skips it, and the message still names the physical line
+        ("states_volumes.csv", _then_a_blank_line(_edit_row(4, 0, "nobody")),
+         r"states_volumes\.csv line 5: trader 'nobody'"),
+        ("states_volumes.csv", _then_a_blank_line(_repeat_first_row),
+         r"states_volumes\.csv line 4: trader '\w+' slice_index \d+ repeats line 3"),
+        ("states.csv", _then_a_blank_line(_edit_row(3, 1, "x")), r"states\.csv line 4: \S+ 'x' does not parse"),
     ],
     ids=["short-states-row", "unknown-trader", "negative-slice", "slice-past-end", "repeated-trader", "missing-trader",
          "non-number-state", "state-out-of-int8", "short-volume-row", "non-number-volume", "fractional-count",
-         "repeated-volume-cell", "reordered-columns"],
+         "repeated-volume-cell", "reordered-columns", "unknown-trader-after-blank-line",
+         "repeated-cell-after-blank-line", "non-number-state-after-blank-line"],
 )
 def test_state_matrix_shape_mismatch_is_refused(tmp_path, market, name, edit, message):
     trades, truth = market
@@ -134,6 +148,22 @@ def test_state_matrix_shape_mismatch_is_refused(tmp_path, market, name, edit, me
     path = tmp_path / name
     path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError, match=message):
+        tfio.read_state_matrix(tmp_path)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("states.csv", lambda line: line.rsplit(",", 1)[0]),
+    ("states_volumes.csv", lambda line: "nobody," + line.split(",", 1)[1]),
+], ids=["short-states-row", "unknown-trader"])
+def test_state_matrix_errors_count_the_line_break_inside_an_id(tmp_path, market, name, edit):
+    # the first trader's id holds a line break, so each of its records spans two lines
+    trades, truth = market
+    m = classify_states(trades, truth.grid)
+    tfio.write_state_matrix(tmp_path, dataclasses.replace(m, traders=["two\nlines", *m.traders[1:]]))
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [edit(lines[-1])]) + "\n")
+    with pytest.raises(ValueError, match=rf"{name.replace('.', '[.]')} line {len(lines)}: "):
         tfio.read_state_matrix(tmp_path)
 
 
@@ -181,7 +211,7 @@ def test_only_io_writes_files():
     }
     io_calls = calls.pop("io.py")
     assert sum(map(_writes_a_file, io_calls)) >= 3  # its open(..., "w"), csv.writer and write_text: the scan sees them
-    assert sum(map(_reads_a_file, io_calls)) >= 3  # its csv.reader, csv.DictReader and np.loadtxt
+    assert sum(map(_reads_a_file, io_calls)) >= 3  # its two csv.readers and its np.loadtxt
     found = {name: [c.lineno for c in nodes if _writes_a_file(c) or _reads_a_file(c)] for name, nodes in calls.items()}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -231,6 +261,53 @@ def test_forecasts_with_a_repeated_slice_and_window_are_refused(tmp_path):
     tfio.write_forecasts(path, [record, dataclasses.replace(record, per_window={45: -1}, combined=-1)])
     with pytest.raises(ValueError, match=r"forecasts\.csv line 4: slice_end \S+ window_length 45 repeats line 2"):
         tfio.read_forecasts(path)
+
+
+def test_forecasts_whose_windows_disagree_on_a_slice_are_refused(tmp_path):
+    record = ForecastRecord(slice_index=10, slice_end=1704103200000, per_window={45: 1}, combined=1,
+                            realized_sign=1, realized_flow=5.0, realized_vwap_sign=None)
+    other = dataclasses.replace(record, per_window={50: -1}, combined=-1, realized_sign=-1, realized_flow=-7.0,
+                                realized_vwap_sign=1)
+    path = tmp_path / "forecasts.csv"
+    tfio.write_forecasts(path, [record, other])
+    with pytest.raises(ValueError, match=r"forecasts\.csv line 3: slice_end \S+ disagrees with line 2 on combined, "
+                                         r"realized_sign, realized_flow, realized_vwap_sign"):
+        tfio.read_forecasts(path)
+
+
+FORECAST_HEADER = ",".join(tfio._FORECAST_COLUMNS.names) + "\n"
+FORECAST_ROW = "2024-01-01T10:00:00+00:00,45,1,1,1,5.0,\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("partition.csv", "trader,group\na,1\n", r"line 1: header 'trader,group', not 'trader_id,group_label'"),
+        ("partition.csv", "trader_id,group_label\na,1\nb,x\n", r"line 3: group_label 'x' does not parse as int"),
+        ("partition.csv", 'trader_id,group_label\n"two\nlines",1\n\nb,2\nb,3\n', r"line 6: trader 'b' repeats line 5"),
+        ("partition.csv", "trader_id,group_label\na\n", r"line 2: 1 fields, but the header has 2"),
+        ("partition.csv", "", r"line 1: header '', not 'trader_id,group_label'"),
+        ("forecasts.csv", "slice_end,window_length,predicted\n" + FORECAST_ROW, r"line 1: header 'slice_end,"),
+        ("forecasts.csv", FORECAST_HEADER + FORECAST_ROW.replace(",1,1,1,", ",x,1,1,"),
+         r"line 2: predicted 'x' does not parse as int"),
+        ("forecasts.csv", FORECAST_HEADER + FORECAST_ROW.replace("5.0", "five"),
+         r"line 2: realized_flow 'five' does not parse as float"),
+        ("forecasts.csv", FORECAST_HEADER + FORECAST_ROW.replace(",\n", ",up\n"),
+         r"line 2: realized_vwap_sign 'up' is not -1, 0, 1 or blank"),
+        ("svn_edges.csv", "i,j,state_i,state_j,co_count\n", r"line 1: header 'i,j,state_i,state_j,co_count', not"),
+        ("svn_edges.csv", "i,j,state_i,state_j,co_count,p_value\na,b,1,-1,7,p\n",
+         r"line 2: p_value 'p' does not parse as float"),
+    ],
+    ids=["partition-header", "partition-label", "partition-lines", "partition-short-row", "partition-empty",
+         "forecasts-header", "forecasts-prediction", "forecasts-flow", "forecasts-vwap", "svn-header", "svn-p-value"],
+)
+def test_malformed_artifact_is_refused(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    read = {"partition.csv": tfio.read_partition, "forecasts.csv": tfio.read_forecasts,
+            "svn_edges.csv": tfio.read_svn_edges}[name]
+    with pytest.raises(ValueError, match=name.replace(".", "[.]") + " " + message):
+        read(path)
 
 
 def test_checksum_changes_with_content(tmp_path):

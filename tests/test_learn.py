@@ -43,8 +43,7 @@ def _grow(Xenc, ycls, idx, rng, cfg, n_levels, n_classes):
     if len(idx) < cfg.min_node_size or counts.max() == len(idx):
         return node
     K = Xenc.shape[1]
-    mtry = cfg.mtry or int(np.ceil(np.sqrt(K)))
-    cand = np.sort(rng.choice(K, size=min(mtry, K), replace=False))
+    cand = np.sort(rng.choice(K, size=int(np.ceil(np.sqrt(K))), replace=False))
     parent_imp = 1.0 - ((counts / len(idx)) ** 2).sum()
     best_imp, best_f = None, None
     for f in cand:
@@ -234,15 +233,11 @@ def test_forest_config_refuses_empty_forest():
         with pytest.raises(ValueError, match="n_trees"):
             ForestConfig(n_trees=n_trees)
     assert ForestConfig(n_trees=1).n_trees == 1
-    # mtry=0 fell back to the default forest, mtry=-1 crashed inside numpy,
-    # and a node size below 1 was accepted
-    for mtry in (0, -1):
-        with pytest.raises(ValueError, match="mtry"):
-            ForestConfig(mtry=mtry)
+    # a node size below 1 was accepted
     for size in (0, -3):
         with pytest.raises(ValueError, match="min_node_size"):
             ForestConfig(min_node_size=size)
-    assert ForestConfig(mtry=1, min_node_size=1).mtry == 1
+    assert ForestConfig(min_node_size=1).min_node_size == 1
 
 
 def test_split_impurities_equal_reference_to_the_bit():
@@ -277,9 +272,9 @@ def test_split_impurities_equal_reference_to_the_bit():
     [
         (_test10_matrix, ForestConfig(n_trees=60), 2),
         (_hour_matrix, ForestConfig(n_trees=100), 1),
-        (_hour_matrix, ForestConfig(n_trees=40, mtry=3, min_node_size=2), 4),
+        (_hour_matrix, ForestConfig(n_trees=40, min_node_size=2), 4),
     ],
-    ids=["test10", "hour-539x37", "hour-mtry3"],
+    ids=["test10", "hour-539x37", "hour-node2"],
 )
 def test_forest_equals_recursive_reference(matrix, config, seed):
     X, y = matrix()
@@ -314,7 +309,7 @@ def test_split_needs_more_than_a_rounding_gain(gain):
     imp = _split_impurities(counts, np.array([2]), np.array([n]))[0]
     assert imp == _gini_split(Xenc[:, 0], ycls, 2, 2)
     assert (parent - 1e-12 <= imp < parent) != gain
-    trees = _grow_forest(Xenc, ycls, [np.arange(n)], [np.random.default_rng(0)], 1, 1, np.array([2]), 2)
+    trees = _grow_forest(Xenc, ycls, [np.arange(n)], [np.random.default_rng(0)], 1, np.array([2]), 2)
     ref = _grow(Xenc, ycls, np.arange(n), np.random.default_rng(0), ForestConfig(min_node_size=1), np.array([2]), 2)
     assert (trees.feature[0] == 0) == gain == ("feature" in ref)
     assert len(trees) == 1 and len(trees.feature) == len(_preorder(ref))
@@ -366,20 +361,14 @@ def _lemire(words, j, rejected):
 def _reference_choice(words, K, m, rejected):
     """Sorted ``choice(K, m, replace=False)`` drawn from the word iterator ``words``."""
     draw = lambda j: _lemire(words, j, rejected) if j else 0  # noqa: E731
-    if K <= 10_000 or m <= K // 50:
-        picks = []
-        for j in range(K - m, K):  # Floyd's sampling
-            v = draw(j)
-            picks.append(j if v in picks else v)
-        for i in range(m - 1, 0, -1):  # the shuffle of the picks
-            j = draw(i)
-            picks[i], picks[j] = picks[j], picks[i]
-        return sorted(picks)
-    pool = list(range(K))  # the tail of a partial Fisher-Yates shuffle
-    for i in range(K - 1, max(K - m, 1) - 1, -1):
+    picks = []
+    for j in range(K - m, K):  # Floyd's sampling
+        v = draw(j)
+        picks.append(j if v in picks else v)
+    for i in range(m - 1, 0, -1):  # the shuffle of the picks
         j = draw(i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return sorted(pool[K - m:])
+        picks[i], picks[j] = picks[j], picks[i]
+    return sorted(picks)
 
 
 def _generators(seed, n):
@@ -391,7 +380,7 @@ def _generators(seed, n):
 
 
 def test_reference_choice_equals_numpy():
-    for K, m in [(27, 6), (5, 3), (10, 10), (1, 1), (60, 8), (10_001, 201)]:
+    for K, m in [(27, 6), (5, 3), (10, 10), (1, 1), (60, 8), (10_001, 101)]:
         for rng, twin in zip(_generators(K + m, 4), _generators(K + m, 4)):
             state = rng.bit_generator.state
             words = _word_stream(rng.bit_generator, state["uinteger"] if state["has_uint32"] else None)
@@ -415,9 +404,9 @@ def test_candidate_draws_equal_numpy_choice():
                     assert row == sorted(twins[t].choice(K, size=m, replace=False).tolist()), (K, m, step, t)
 
 
-@pytest.mark.parametrize("K, m", [(10_001, 201), (10_050, 10_050), (20_000, 100)])
+@pytest.mark.parametrize("K, m", [(10_001, 101), (20_000, 142)])
 def test_candidate_draws_equal_numpy_choice_beyond_10000_columns(K, m):
-    # (20_000, 100) is drawn by Floyd's sampling, the others by numpy's tail shuffle
+    # the forest's m = ceil(sqrt(K)), which numpy draws by Floyd's sampling for K > 10,000 too
     draws = _CandidateDraws(_generators(K, 3), K, m)
     twins = _generators(K, 3)
     for _ in range(3):

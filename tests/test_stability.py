@@ -23,7 +23,7 @@ def test_overlap_scores():
 def test_relabel_inherits_by_max_overlap():
     prev = {"a": 1, "b": 1, "c": 2, "d": 2}
     raw = {"a": 10, "b": 10, "c": 20, "d": 20}
-    labeled, nxt = relabel_partition(prev, raw)
+    labeled, nxt = relabel_partition(prev, raw, next_fresh=3)
     assert labeled == prev
     assert nxt == 3
 
@@ -31,7 +31,7 @@ def test_relabel_inherits_by_max_overlap():
 def test_relabel_unmatched_gets_fresh_label():
     prev = {"a": 1, "b": 1}
     raw = {"a": 5, "b": 5, "x": 9, "y": 9}
-    labeled, nxt = relabel_partition(prev, raw)
+    labeled, nxt = relabel_partition(prev, raw, next_fresh=2)
     assert labeled["a"] == labeled["b"] == 1
     assert labeled["x"] == labeled["y"] == 2
     assert nxt == 3
@@ -42,14 +42,14 @@ def test_relabel_tie_breaks_by_larger_absolute_overlap():
     prev = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 1}
     raw = {"a": 10, "b": 10, "c": 10, "d": 20, "e": 21, "f": 22}
     # overlaps vs group 1: cluster 10 has OA 3 OP 3/6, others OA 1 OP 1/6
-    labeled, _ = relabel_partition(prev, raw)
+    labeled, _ = relabel_partition(prev, raw, next_fresh=2)
     assert labeled["a"] == 1
 
 
 def test_relabel_is_one_to_one():
     prev = {"a": 1, "b": 2}
     raw = {"a": 7, "b": 7}
-    labeled, _ = relabel_partition(prev, raw)
+    labeled, _ = relabel_partition(prev, raw, next_fresh=3)
     # the merged cluster inherits exactly one previous label
     assert len(set(labeled.values())) == 1
     assert labeled["a"] in (1, 2)
@@ -58,7 +58,7 @@ def test_relabel_is_one_to_one():
 def test_relabel_threading_fresh_counter():
     prev = {"a": 1}
     raw1 = {"a": 3, "b": 4}
-    labeled1, nxt = relabel_partition(prev, raw1)
+    labeled1, nxt = relabel_partition(prev, raw1, next_fresh=2)
     raw2 = {"a": 1, "b": 2, "c": 3}
     labeled2, nxt2 = relabel_partition(labeled1, raw2, next_fresh=nxt)
     assert nxt2 > nxt
