@@ -40,7 +40,7 @@ from .ingest import (
     trade_size_histogram,
 )
 from .io import parse_trades
-from .leadlag import LeadLagNetwork, aggregate_groups, build_leadlag, expand_trader_leadlag
+from .leadlag import LEADLAG_EDGE, LeadLagNetwork, aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import ForestConfig
 from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecast
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
@@ -249,7 +249,7 @@ def leadlag_stage(cfg: RunConfig, matrix, partition: dict, out: Path):
     if partition:
         net = build_leadlag(aggregate_groups(matrix, partition, cfg.rho0), FdrConfig(cfg.p0))
     else:
-        net = LeadLagNetwork(groups=[], edges=[], threshold=0.0, n_tests=0, p0=cfg.p0, n_pairs=0)
+        net = LeadLagNetwork(groups=[], edges=np.zeros(0, LEADLAG_EDGE), threshold=0.0, n_tests=0, p0=cfg.p0, n_pairs=0)
     tfio.write_leadlag(out, net, expand_trader_leadlag(net, partition))
     print(f"leadlag: {len(net.edges)} validated directed edges -> {out}")
 

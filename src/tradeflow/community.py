@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svn import ValidatedNetwork
+from .ingest import STATE_BUY, STATE_SELL
+from .svn import ValidatedNetwork, edge_nodes
 
-EXCLUDED_PAIRS = {(1, -1), (-1, 1)}
 # from this many sweeps that moved a node on, a move pass confirms each sweep's gain at once
 _LONG_PASS = 8
 
@@ -63,23 +63,22 @@ def project_weighted(network: ValidatedNetwork) -> WeightedGraph:
     """Collapse validated multi-edges to integer weights.
 
     The weight of (i, j) is the number of validated links whose state pair is
-    not buy-sell; pairs left with zero weight are omitted entirely.
+    not buy-sell; pairs left with zero weight are omitted entirely.  Nodes sort
+    by ``str``; a node's neighbours are in the order of their pair's first link.
     """
-    weights = {}
-    for e in network.edges:
-        if (e.state_i, e.state_j) in EXCLUDED_PAIRS:
-            continue
-        key = (e.i, e.j) if str(e.i) <= str(e.j) else (e.j, e.i)
-        weights[key] = weights.get(key, 0) + 1
-    nodes = sorted({i for i, _ in weights} | {j for _, j in weights}, key=str)
-    index = {n: k for k, n in enumerate(nodes)}
+    e = network.edges
+    e = e[e["state_i"] * e["state_j"] != STATE_BUY * STATE_SELL]  # drops (1, -1) and (-1, 1) alone
+    nodes = edge_nodes(e)
+    index = dict(zip(nodes, range(len(nodes))))
+    a = np.fromiter(map(index.__getitem__, e["i"].tolist()), np.int64, len(e))
+    b = np.fromiter(map(index.__getitem__, e["j"].tolist()), np.int64, len(e))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _, first, weights = np.unique(lo * len(nodes) + hi, return_index=True, return_counts=True)
+    order = np.argsort(first)
     adj = [dict() for _ in nodes]
-    for (i, j), w in weights.items():
-        adj[index[i]][index[j]] = w
-        adj[index[j]][index[i]] = w
+    for i, j, w in zip(lo[first[order]].tolist(), hi[first[order]].tolist(), weights[order].tolist()):
+        adj[i][j] = adj[j][i] = w
     return WeightedGraph(nodes=nodes, adj=adj)
-
-
 
 
 def _plogp(x):

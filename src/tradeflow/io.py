@@ -8,12 +8,14 @@ document through ``write_json``, and each creates the directory it writes
 into.  Each reader sits next to its writer.
 
 The state matrix is written and parsed column-wise: one ``np.loadtxt`` pass
-per CSV.  Readers refuse malformed input with a ``ValueError`` that names the
-file and line: a header other than the writer's (``states.csv`` aside), a row
-that does not parse, a trader listed twice in a partition, a repeated cell of a
-state matrix or of a forecast file, and a forecast slice whose windows disagree
-on its realized values.  Lines are physical lines: a blank line counts, and so
-does each line break inside a quoted field.
+per CSV.  An edge file's header is its network's edge dtype (``svn.SVN_EDGE``,
+``leadlag.LEADLAG_EDGE``).  Readers refuse malformed input with a ``ValueError``
+naming the file and line: a header other than the writer's (``states.csv``
+aside), a row that does not parse, a trader listed twice in a partition, a
+repeated cell of a state matrix or of a forecast file, a repeated SVN link or
+one from a trader to itself, and a forecast slice whose windows disagree on its
+realized values.  Lines are physical lines: a blank line counts, and so does
+each line break inside a quoted field.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import StateMatrix, TimeGrid, Trades, encode_ids
-from .svn import LinkCandidate, ValidatedNetwork
+from .leadlag import LEADLAG_EDGE
+from .svn import SVN_EDGE, ValidatedNetwork, edge_nodes
 
 TRADE_FIELDS = ("trader_id", "timestamp", "instrument", "signed_volume", "price")
 _VOLUME_COLUMNS = np.dtype([("trader_id", object), ("slice_index", np.int64), ("net_volume", np.float64),
                             ("gross_volume", np.float64), ("n_trades", np.int64)])  # states_volumes.csv
-_SVN_EDGE_COLUMNS = np.dtype([("i", object), ("j", object), ("state_i", np.int64), ("state_j", np.int64),
-                              ("co_count", np.int64), ("p_value", np.float64)])
 _PARTITION_COLUMNS = np.dtype([("trader_id", object), ("group_label", np.int64)])
 _FORECAST_COLUMNS = np.dtype([("slice_end", object), ("window_length", np.int64), ("predicted", np.int64),
                               ("combined", np.int64), ("realized_sign", np.int64), ("realized_flow", np.float64),
@@ -103,6 +104,17 @@ def _parse_timestamp(text: str) -> int:
     return ms
 
 
+def _records(fh):
+    """``(line, row)`` for each CSV record of ``fh``, ``line`` being the physical
+    line the record starts on; blank lines, which ``np.loadtxt`` skips too, give no record."""
+    reader = csv.reader(fh)
+    line = 1
+    for row in reader:
+        if row:
+            yield line, row
+        line = reader.line_num + 1
+
+
 def parse_trades(stream, max_reject_fraction: float = 0.10):
     """Parse a CSV trade stream.
 
@@ -124,9 +136,9 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
         stream = StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
         stream = StringIO(stream)
-    reader = csv.reader(stream)
+    records = _records(stream)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise ParseError("empty stream: no header row")
     header = [h.strip() for h in header]
@@ -140,9 +152,7 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
     timestamp, signed_volume, price = array("q"), array("d"), array("d")
     rejects = []
     n_rows = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line_no, row in records:
         n_rows += 1
         try:
             ts = _parse_timestamp(row[col["timestamp"]])
@@ -198,17 +208,6 @@ def write_state_matrix(out_dir, matrix: StateMatrix):
         "include_weekends": grid.include_weekends,
         "n_traders": matrix.n_traders,
     })
-
-
-def _records(fh):
-    """``(line, row)`` for each CSV record of ``fh``, ``line`` being the physical
-    line the record starts on; blank lines, which ``np.loadtxt`` skips too, give no record."""
-    reader = csv.reader(fh)
-    line = 1
-    for row in reader:
-        if row:
-            yield line, row
-        line = reader.line_num + 1
 
 
 def _data_lines(path):
@@ -316,8 +315,7 @@ def read_state_matrix(out_dir) -> StateMatrix:
 
 def write_svn(out_dir, network: ValidatedNetwork):
     out_dir = Path(out_dir)
-    _write_csv(out_dir / "svn_edges.csv", _SVN_EDGE_COLUMNS.names,
-               ([e.i, e.j, e.state_i, e.state_j, e.co_count, repr(e.p_value)] for e in network.edges))
+    _write_csv(out_dir / "svn_edges.csv", SVN_EDGE.names, network.edges.tolist())
     write_json(out_dir / "svn_meta.json", {
         "T": network.T,
         "p0": network.p0,
@@ -329,11 +327,20 @@ def write_svn(out_dir, network: ValidatedNetwork):
 
 
 def read_svn_edges(path) -> ValidatedNetwork:
-    """The network of ``svn_edges.csv``; the file stores no n_i, n_j, T or threshold, so they read 0."""
-    edges = [LinkCandidate(i=i, j=j, state_i=si, state_j=sj, co_count=c, n_i=0, n_j=0, T=0, p_value=p)
-             for i, j, si, sj, c, p in _read_columns(path, _SVN_EDGE_COLUMNS).tolist()]
-    nodes = sorted({e.i for e in edges} | {e.j for e in edges}, key=str)
-    return ValidatedNetwork(nodes=nodes, edges=edges, threshold=0.0, n_tests=0, p0=0.0, T=0)
+    """The network of ``svn_edges.csv``, its edges ``SVN_EDGE`` records; the file stores no threshold,
+    n_tests, p0 or T, so they read 0.  A self-link or a repeated (i, j, state_i, state_j) is refused."""
+    edges = _read_columns(path, SVN_EDGE)
+    keys = edges[["i", "j", "state_i", "state_j"]].tolist()
+    if len(set(keys)) < len(keys) or (edges["i"] == edges["j"]).any():
+        row_of, lines = {}, _data_lines(path)
+        for k, key in enumerate(keys):
+            if key[0] == key[1]:
+                raise ValueError(f"{path} line {lines[k]}: trader {key[0]!r} links to itself")
+            if key in row_of:
+                raise ValueError(f"{path} line {lines[k]}: link {','.join(map(str, key))} repeats line "
+                                 f"{lines[row_of[key]]}")
+            row_of[key] = k
+    return ValidatedNetwork(nodes=edge_nodes(edges), edges=edges, threshold=0.0, n_tests=0, p0=0.0, T=0)
 
 
 def write_partition(out_dir, partition: dict, meta: dict | None = None, prefix: str = "partition"):
@@ -359,10 +366,7 @@ def read_partition(path) -> dict:
 
 def write_leadlag(out_dir, network, adjacency):
     out_dir = Path(out_dir)
-    _write_csv(
-        out_dir / "leadlag_edges.csv", ["from_group", "to_group", "state_from", "state_to", "co_count", "p_value"],
-        ([e.from_group, e.to_group, e.state_from, e.state_to, e.co_count, repr(e.p_value)] for e in network.edges),
-    )
+    _write_csv(out_dir / "leadlag_edges.csv", LEADLAG_EDGE.names, network.edges.tolist())
     write_json(out_dir / "leadlag_meta.json", {
         "n_tests": network.n_tests,
         "p0": network.p0,

@@ -4,6 +4,8 @@ Group states follow the same imbalance-ratio rule as trader states.  A
 directed edge (g, s) -> (g', s') means group g in state s at slice t
 systematically precedes group g' in state s' at slice t+1; self-loops are
 allowed and the hypothesis family counts all 9 * N_groups^2 ordered tests.
+The validated edges are one array of ``LEADLAG_EDGE``, whose field names are
+the header of ``leadlag_edges.csv``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import ACTIVE_STATES, StateMatrix, states_from_volumes
-from .svn import FdrConfig, _cooccurrence_tests
+from .svn import FdrConfig, _cooccurrence_tests, validated_edges
+
+# one validated edge: group from_group in state_from precedes group to_group in state_to
+LEADLAG_EDGE = np.dtype([("from_group", np.int64), ("to_group", np.int64), ("state_from", np.int64),
+                         ("state_to", np.int64), ("co_count", np.int64), ("p_value", np.float64)])
 
 
 @dataclass
@@ -31,20 +37,10 @@ class GroupStateSeries:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class LeadLagEdge:
-    from_group: int
-    to_group: int
-    state_from: int
-    state_to: int
-    co_count: int
-    p_value: float
-
-
 @dataclass
 class LeadLagNetwork:
     groups: list
-    edges: list
+    edges: np.ndarray  # LEADLAG_EDGE
     threshold: float
     n_tests: int
     p0: float
@@ -104,14 +100,10 @@ def build_leadlag(series: GroupStateSeries, config: FdrConfig = FdrConfig()) -> 
     lag = {s: (series.sigma[:, t_lead + 1] == s) for s in ACTIVE_STATES}
     gi, gj = np.divmod(np.arange(n_groups * n_groups), n_groups)
     threshold, _, rejected = _cooccurrence_tests(lead, lag, gi, gj, len(t_lead), config.p0, n_tests=m)
-    edges = [
-        LeadLagEdge(series.labels[i], series.labels[j], s, s2, x, p)
-        for s, s2, i, j, x, _, _, p in rejected
-    ]
-    edges.sort(key=lambda e: (e.from_group, e.to_group, e.state_from, e.state_to))
     return LeadLagNetwork(
         groups=list(series.labels),
-        edges=edges,
+        # the labels are sorted, so a group's index is its rank
+        edges=validated_edges(LEADLAG_EDGE, np.asarray(series.labels), np.arange(n_groups), rejected),
         threshold=threshold,
         n_tests=m,
         p0=config.p0,
@@ -127,7 +119,7 @@ def expand_trader_leadlag(network: LeadLagNetwork, partition: dict) -> TraderLea
     """
     traders = sorted(partition, key=str)
     index = {t: k for k, t in enumerate(traders)}
-    group_leads = {(e.from_group, e.to_group) for e in network.edges}
+    group_leads = set(zip(network.edges["from_group"].tolist(), network.edges["to_group"].tolist()))
     members = {}
     for t, g in partition.items():
         members.setdefault(g, []).append(index[t])

@@ -6,6 +6,9 @@ of each trader's state occurrences over the window).  Benjamini-Hochberg
 controls the false discovery rate over the whole family of tests.  The
 lagged group network of ``leadlag`` is validated by the same routine.
 
+A network's links are one array of its edge dtype (``SVN_EDGE`` here,
+``leadlag.LEADLAG_EDGE``), whose field names are its edge file's header.
+
 BH at level p0 never rejects a test with p > p0, so a p-value is computed
 only for tests that could have p <= p0.  A count at the bottom of its
 support (p = 1), a count at or below the hypergeometric median (p >= 1/2,
@@ -28,19 +31,9 @@ from .ingest import ACTIVE_STATES, StateMatrix
 STATE_PAIRS = tuple(product(ACTIVE_STATES, ACTIVE_STATES))
 MIN_WINDOW_SLICES = 50  # shortest window (in slices) the co-occurrence tests accept
 SCREEN_MARGIN = 1e-9  # log-space slack so that a screened test's computed p exceeds p0 despite round-off
-
-
-@dataclass(frozen=True)
-class LinkCandidate:
-    i: str
-    j: str
-    state_i: int
-    state_j: int
-    co_count: int
-    n_i: int
-    n_j: int
-    T: int
-    p_value: float
+# one validated link: traders i and j (i's row before j's), their states, the co-occurrence count and p
+SVN_EDGE = np.dtype([("i", object), ("j", object), ("state_i", np.int64), ("state_j", np.int64),
+                     ("co_count", np.int64), ("p_value", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,7 @@ class FdrConfig:
 @dataclass
 class ValidatedNetwork:
     nodes: list
-    edges: list  # LinkCandidate entries that passed FDR
+    edges: np.ndarray  # SVN_EDGE links that passed FDR
     threshold: float
     n_tests: int
     p0: float
@@ -147,8 +140,9 @@ def _cooccurrence_tests(lead: dict, lag: dict, ii, jj, T: int, p0: float, n_test
     ``lag`` is in s' is tested against the hypergeometric tail.  Pairs where
     either side never shows its state are untestable and skipped.  BH runs
     with family size ``n_tests`` (default: the number of testable pairs).
-    Returns ``(threshold, n_tested, rejected)``, ``rejected`` holding
-    ``(s, s', i, j, x, n_i, n_j, p)`` in state-pair, then pair order.
+    Returns ``(threshold, n_tested, rejected)``, ``rejected`` being the
+    arrays ``(s, s', i, j, x, p)`` of the rejected tests in state-pair, then
+    pair order.
 
     Only tests that BH could reject get a p-value.  A testable pair is
     screened out, with p > p0 certain, when
@@ -183,19 +177,33 @@ def _cooccurrence_tests(lead: dict, lag: dict, ii, jj, T: int, p0: float, n_test
             keep &= co * T > n_i * n_j
         k = np.flatnonzero(keep)
         k = k[_log_pmf(lf, T, n_i[k], n_j[k], co[k]) <= log_cut]
-        x, n_i, n_j = co[k], n_i[k], n_j[k]
-        blocks.append((s_i, s_j, ii[k], jj[k], x, n_i, n_j, hypergeom_sf(T, n_i, n_j, x)))
-    pvals = np.concatenate([b[-1] for b in blocks])
-    if len(pvals) == 0:
-        return 0.0, n_tested, []
-    threshold, reject = bh_fdr(pvals, p0, n_tested if n_tests is None else n_tests)
-    rejected = []
-    pos = 0
-    for s_i, s_j, i, j, x, n_i, n_j, p in blocks:
-        for k in np.flatnonzero(reject[pos : pos + len(p)]):
-            rejected.append((s_i, s_j, int(i[k]), int(j[k]), int(x[k]), int(n_i[k]), int(n_j[k]), float(p[k])))
-        pos += len(p)
-    return threshold, n_tested, rejected
+        blocks.append((np.full(len(k), s_i), np.full(len(k), s_j), ii[k], jj[k], co[k],
+                       hypergeom_sf(T, n_i[k], n_j[k], co[k])))
+    tests = tuple(np.concatenate(column) for column in zip(*blocks))
+    if len(tests[-1]) == 0:
+        return 0.0, n_tested, tests
+    threshold, reject = bh_fdr(tests[-1], p0, n_tested if n_tests is None else n_tests)
+    return threshold, n_tested, tuple(column[reject] for column in tests)
+
+
+def validated_edges(dtype, ids, rank, rejected) -> np.ndarray:
+    """The ``rejected`` tests of ``_cooccurrence_tests`` as an array of ``dtype``.
+
+    Row k is named ``ids[k]``.  Links are ordered by the ``rank`` of their
+    first row, then of their second, then by their two states; the sort is
+    stable, so links equal in all four keep the tests' order.
+    """
+    s_i, s_j, i, j, x, p = rejected
+    order = np.lexsort((s_j, s_i, rank[j], rank[i]))
+    edges = np.empty(len(order), dtype)
+    for name, column in zip(dtype.names, (ids[i], ids[j], s_i, s_j, x, p)):
+        edges[name] = column[order]
+    return edges
+
+
+def edge_nodes(edges) -> list:
+    """Every trader that a link of ``edges`` names, sorted by ``str``."""
+    return sorted({*edges["i"].tolist(), *edges["j"].tolist()}, key=str)
 
 
 def build_svn(matrix: StateMatrix, config: FdrConfig = FdrConfig()) -> ValidatedNetwork:
@@ -211,14 +219,11 @@ def build_svn(matrix: StateMatrix, config: FdrConfig = FdrConfig()) -> Validated
     ind = {s: (matrix.sigma == s) for s in ACTIVE_STATES}
     iu, ju = np.triu_indices(matrix.n_traders, k=1)
     threshold, n_tests, rejected = _cooccurrence_tests(ind, ind, iu, ju, T, config.p0)
-    edges = [
-        LinkCandidate(matrix.traders[i], matrix.traders[j], s_i, s_j, x, n_i, n_j, T, p)
-        for s_i, s_j, i, j, x, n_i, n_j, p in rejected
-    ]
-    edges.sort(key=lambda e: (str(e.i), str(e.j), e.state_i, e.state_j))
-    nodes = sorted({e.i for e in edges} | {e.j for e in edges}, key=str)
+    # traders whose ids print alike share a rank, so the links order as a sort by str(id) would order them
+    _, rank = np.unique(np.array([str(t) for t in matrix.traders], dtype=object), return_inverse=True)
+    edges = validated_edges(SVN_EDGE, np.array(matrix.traders, dtype=object), rank, rejected)
     return ValidatedNetwork(
-        nodes=nodes,
+        nodes=edge_nodes(edges),
         edges=edges,
         threshold=threshold,
         n_tests=n_tests,

@@ -96,7 +96,7 @@ def test_acceptance_02_fdr_control_on_null_markets():
             counts=np.zeros((n, T), dtype=np.int64),
         )
         net = build_svn(m)
-        fdp.append(1.0 if net.edges else 0.0)
+        fdp.append(1.0 if len(net.edges) else 0.0)
     elapsed = time.time() - t0
     avg = float(np.mean(fdp))
     print(f"\n[acceptance 2] avg false-link proportion {avg:.3f} over 50 seeds, {elapsed:.0f}s: "
@@ -151,7 +151,8 @@ def _leadlag_pairs(truth, trades, seed):
         planted_of[lbl] = Counter(m for m in members if m).most_common(1)[0][0] if any(members) else None
     sub = act.select_traders(sorted(part))
     net = build_leadlag(aggregate_groups(sub, part), tf.FdrConfig())
-    return {(planted_of[e.from_group], planted_of[e.to_group]) for e in net.edges}
+    from_to = zip(net.edges["from_group"].tolist(), net.edges["to_group"].tolist())
+    return {(planted_of[g], planted_of[h]) for g, h in from_to}
 
 
 def test_acceptance_04_planted_leadlag_recovery():

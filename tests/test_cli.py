@@ -184,8 +184,16 @@ def _sha256(path):
 
 def test_pipeline_evaluation_is_pinned(pipeline_run):
     _, out = pipeline_run
-    names = ("report.json", "performance_flow.csv", "performance_vwap.csv")
+    names = ("svn_edges.csv", "svn_meta.json", "partition.csv", "leadlag_edges.csv", "leadlag_meta.json",
+             "leadlag_lambda.csv", "report.json", "performance_flow.csv", "performance_vwap.csv")
+    # the network files hold 93 SVN links and 3 lead-lag edges, so both edge writers are pinned
     assert {name: _sha256(out / name) for name in names} == {
+        "svn_edges.csv": "36c156d1651d6e148d12019a9f03a8bcf5083fb15b1af0e629cb8b484f6ed35f",
+        "svn_meta.json": "f5f6de363fccfc16c89fe7460ad27d607ac3770fe86c5609826a2cf27b3220dd",
+        "partition.csv": "30c1c07c9c896862a3db89bf316563c2947545525c865bb56576fca551e316d8",
+        "leadlag_edges.csv": "ff189e63e17c8260ef9ef40d8509d7b94c8c2a5cd341a947b4ce99e94c5a4fd9",
+        "leadlag_meta.json": "9675ce403356c566597357d98449557ca68a136fd05e2f0f7a20754901b93591",
+        "leadlag_lambda.csv": "e184b60eb6794ef267f8bccd2d43a53d8c725271e9ab09536733fd1994cd3181",
         "report.json": "753c6640060016086829f1171e4d55e092da93d2f663f8424b5794309ffe2402",
         "performance_flow.csv": "5426a96dcc51d664b53ca5d01ad8a6ea43ea7393891c64ae6a77b9f021b27c13",
         "performance_vwap.csv": "5ac4461d6559ade60ba028f76a1cbc8d230fde0add680ebe9952798d8ec806bf",

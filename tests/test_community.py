@@ -16,7 +16,7 @@ from tradeflow.community import (
     project_weighted,
 )
 from tradeflow.ingest import classify_states, filter_active
-from tradeflow.svn import FdrConfig, LinkCandidate, ValidatedNetwork, build_svn
+from tradeflow.svn import SVN_EDGE, FdrConfig, ValidatedNetwork, build_svn
 from tradeflow.synth import MarketSpec, generate_market
 
 
@@ -154,11 +154,8 @@ class _ReferencePartitioner:
 
 
 def _net(edge_specs):
-    edges = [
-        LinkCandidate(i=i, j=j, state_i=si, state_j=sj, co_count=1, n_i=1, n_j=1, T=100, p_value=0.0)
-        for i, j, si, sj in edge_specs
-    ]
-    nodes = sorted({e.i for e in edges} | {e.j for e in edges})
+    edges = np.array([(i, j, si, sj, 1, 0.0) for i, j, si, sj in edge_specs], dtype=SVN_EDGE)
+    nodes = sorted({*edges["i"].tolist(), *edges["j"].tolist()})
     return ValidatedNetwork(nodes=nodes, edges=edges, threshold=1.0, n_tests=1, p0=0.05, T=100)
 
 

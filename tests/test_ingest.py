@@ -114,6 +114,14 @@ def test_parse_rejects_empty_trader_id():
     assert [(r.line_no, r.reason) for r in rejects] == [(2, "empty trader_id"), (3, "empty trader_id")]
 
 
+def test_reject_lines_count_the_line_break_inside_an_id():
+    # the quoted id spans physical lines 2 and 3, a blank line 4 is skipped, so the zero volume sits on line 5
+    text = HEADER + '"a\nb",1704099600000,EURUSD,1000,1.1\n\na,1704099600001,EURUSD,0,1.1\n'
+    trades, rejects = parse_trades(text, max_reject_fraction=1.0)
+    assert _rows(trades) == [("a\nb", 1704099600000, "EURUSD", 1000.0, 1.1)]
+    assert [(r.line_no, r.reason) for r in rejects] == [(5, "zero signed_volume")]
+
+
 def test_parse_rejects_timestamp_outside_int64():
     text = HEADER + "a,99999999999999999999,EURUSD,1000,1.1\na,1704099600000,EURUSD,1000,1.1\n"
     trades, rejects = parse_trades(text, max_reject_fraction=1.0)

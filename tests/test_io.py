@@ -11,7 +11,7 @@ import pytest
 from tradeflow import io as tfio
 from tradeflow.ingest import classify_states
 from tradeflow.predict import ForecastRecord
-from tradeflow.svn import LinkCandidate, ValidatedNetwork
+from tradeflow.svn import SVN_EDGE, ValidatedNetwork
 from tradeflow.synth import MarketSpec, generate_market
 
 
@@ -168,19 +168,14 @@ def test_state_matrix_errors_count_the_line_break_inside_an_id(tmp_path, market,
 
 
 def test_svn_edges_round_trip(tmp_path):
-    edges = [
-        LinkCandidate(i="a", j="b", state_i=1, state_j=-1, co_count=7, n_i=9, n_j=11, T=120, p_value=1.25e-07),
-        LinkCandidate(i="b", j="c", state_i=0, state_j=0, co_count=3, n_i=4, n_j=5, T=120, p_value=0.1 + 0.2),
-    ]
+    edges = np.array([("a", "b", 1, -1, 7, 1.25e-07), ("b", "c", 0, 0, 3, 0.1 + 0.2)], dtype=SVN_EDGE)
     net = ValidatedNetwork(nodes=["a", "b", "c"], edges=edges, threshold=0.01, n_tests=36, p0=0.05, T=120)
     tfio.write_svn(tmp_path, net)
     back = tfio.read_svn_edges(tmp_path / "svn_edges.csv")
     assert back.nodes == ["a", "b", "c"]
-    stored = ("i", "j", "state_i", "state_j", "co_count", "p_value")
-    for e, f in zip(edges, back.edges, strict=True):
-        assert {k: getattr(f, k) for k in stored} == {k: getattr(e, k) for k in stored}
-        assert (f.n_i, f.n_j, f.T) == (0, 0, 0)  # not stored in the file
-    assert (back.threshold, back.n_tests, back.p0, back.T) == (0.0, 0, 0.0, 0)
+    assert back.edges.dtype == SVN_EDGE
+    assert back.edges.tolist() == edges.tolist()  # every field, the p-values to the bit
+    assert (back.threshold, back.n_tests, back.p0, back.T) == (0.0, 0, 0.0, 0)  # not stored in the file
 
 
 def _reads_a_file(call: ast.Call) -> bool:
@@ -211,7 +206,7 @@ def test_only_io_writes_files():
     }
     io_calls = calls.pop("io.py")
     assert sum(map(_writes_a_file, io_calls)) >= 3  # its open(..., "w"), csv.writer and write_text: the scan sees them
-    assert sum(map(_reads_a_file, io_calls)) >= 3  # its two csv.readers and its np.loadtxt
+    assert sum(map(_reads_a_file, io_calls)) == 2  # its one csv.reader, in _records, and its np.loadtxt
     found = {name: [c.lineno for c in nodes if _writes_a_file(c) or _reads_a_file(c)] for name, nodes in calls.items()}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -277,6 +272,7 @@ def test_forecasts_whose_windows_disagree_on_a_slice_are_refused(tmp_path):
 
 FORECAST_HEADER = ",".join(tfio._FORECAST_COLUMNS.names) + "\n"
 FORECAST_ROW = "2024-01-01T10:00:00+00:00,45,1,1,1,5.0,\n"
+SVN_HEADER = ",".join(SVN_EDGE.names) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -297,9 +293,13 @@ FORECAST_ROW = "2024-01-01T10:00:00+00:00,45,1,1,1,5.0,\n"
         ("svn_edges.csv", "i,j,state_i,state_j,co_count\n", r"line 1: header 'i,j,state_i,state_j,co_count', not"),
         ("svn_edges.csv", "i,j,state_i,state_j,co_count,p_value\na,b,1,-1,7,p\n",
          r"line 2: p_value 'p' does not parse as float"),
+        ("svn_edges.csv", SVN_HEADER + "a,b,1,1,7,1e-09\nb,c,1,1,3,1e-08\n\na,b,1,1,7,1e-09\n",
+         r"line 5: link a,b,1,1 repeats line 2"),
+        ("svn_edges.csv", SVN_HEADER + "a,b,1,1,7,1e-09\nc,c,-1,-1,3,1e-08\n", r"line 3: trader 'c' links to itself"),
     ],
     ids=["partition-header", "partition-label", "partition-lines", "partition-short-row", "partition-empty",
-         "forecasts-header", "forecasts-prediction", "forecasts-flow", "forecasts-vwap", "svn-header", "svn-p-value"],
+         "forecasts-header", "forecasts-prediction", "forecasts-flow", "forecasts-vwap", "svn-header", "svn-p-value",
+         "svn-repeated-link", "svn-self-link"],
 )
 def test_malformed_artifact_is_refused(tmp_path, name, text, message):
     path = tmp_path / name

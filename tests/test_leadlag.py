@@ -84,7 +84,7 @@ def test_lag_pairs_never_cross_session_gaps():
     net = build_leadlag(series)
     # 6 aligned pairs per 7-slice day
     assert net.n_pairs == 70 * 6
-    pairs = {(e.from_group, e.to_group) for e in net.edges}
+    pairs = set(zip(net.edges["from_group"].tolist(), net.edges["to_group"].tolist()))
     assert (1, 2) in pairs
 
 
@@ -95,11 +95,10 @@ def test_follower_validated_and_direction_correct():
     follow = np.roll(lead, 1)
     noise = rng.choice([-1, 1, 2], size=T)
     net = build_leadlag(_series_from_sigma(np.stack([lead, follow, noise])))
-    pairs = {(e.from_group, e.to_group) for e in net.edges}
+    from_to = list(zip(net.edges["from_group"].tolist(), net.edges["to_group"].tolist()))
+    pairs = set(from_to)
     assert (1, 2) in pairs
-    assert (2, 1) not in pairs or len([e for e in net.edges if (e.from_group, e.to_group) == (1, 2)]) > len(
-        [e for e in net.edges if (e.from_group, e.to_group) == (2, 1)]
-    )
+    assert (2, 1) not in pairs or from_to.count((1, 2)) > from_to.count((2, 1))
     assert all(p[1] != 3 or p[0] == 3 for p in pairs) or (1, 3) not in pairs
 
 
@@ -109,15 +108,15 @@ def test_leadlag_self_loops_allowed():
     base = rng.choice([-1, 1], size=60)
     sigma = np.repeat(base, 7)[None, :]
     net = build_leadlag(_series_from_sigma(sigma))
-    assert any(e.from_group == e.to_group == 1 for e in net.edges)
+    assert ((net.edges["from_group"] == 1) & (net.edges["to_group"] == 1)).any()
 
 
 def test_expand_trader_adjacency_blocks():
-    from tradeflow.leadlag import LeadLagEdge, LeadLagNetwork
+    from tradeflow.leadlag import LEADLAG_EDGE, LeadLagNetwork
 
     net = LeadLagNetwork(
         groups=[1, 2],
-        edges=[LeadLagEdge(1, 2, 1, 1, 10, 1e-6)],
+        edges=np.array([(1, 2, 1, 1, 10, 1e-6)], dtype=LEADLAG_EDGE),
         threshold=1e-6,
         n_tests=36,
         p0=0.05,
@@ -129,9 +128,9 @@ def test_expand_trader_adjacency_blocks():
 
 
 def test_expand_empty_network():
-    from tradeflow.leadlag import LeadLagNetwork
+    from tradeflow.leadlag import LEADLAG_EDGE, LeadLagNetwork
 
-    net = LeadLagNetwork(groups=[1], edges=[], threshold=0.0, n_tests=9, p0=0.05, n_pairs=10)
+    net = LeadLagNetwork(groups=[1], edges=np.zeros(0, LEADLAG_EDGE), threshold=0.0, n_tests=9, p0=0.05, n_pairs=10)
     lam = expand_trader_leadlag(net, {"a": 1})
     assert lam.edge_set() == set()
 
@@ -142,5 +141,5 @@ def test_null_leadlag_rarely_validates():
         rng = np.random.default_rng(100 + seed)
         sigma = rng.choice([-1, 1, 2], size=(5, 350))
         net = build_leadlag(_series_from_sigma(sigma))
-        hits += bool(net.edges)
+        hits += len(net.edges) > 0
     assert hits <= 4

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import comb
 
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tradeflow.svn as svn
+from tradeflow.community import WeightedGraph, project_weighted
 from tradeflow.ingest import ACTIVE_STATES, StateMatrix, build_grid
 from tradeflow.leadlag import _lag_pairs
 from tradeflow.svn import (
     STATE_PAIRS,
+    SVN_EDGE,
     FdrConfig,
     _cooccurrence_tests,
     bh_fdr,
@@ -128,10 +132,10 @@ def test_build_svn_validates_synchronized_pair():
     sigma[0] = shared
     sigma[1] = shared
     net = build_svn(_matrix_from_sigma(sigma))
-    pairs = {(e.i, e.j) for e in net.edges}
+    pairs = {(i, j) for i, j, *_ in net.edges.tolist()}
     assert ("t00", "t01") in pairs
     # synchronized pair validated in both directional state pairs
-    states = {(e.state_i, e.state_j) for e in net.edges if (e.i, e.j) == ("t00", "t01")}
+    states = {(s_i, s_j) for i, j, s_i, s_j, *_ in net.edges.tolist() if (i, j) == ("t00", "t01")}
     assert {(1, 1), (-1, -1)} <= states
 
 
@@ -151,7 +155,7 @@ def test_build_svn_edge_order_deterministic():
     sigma = rng.choice([-1, 1, 2], size=(10, 150)).astype(np.int8)
     sigma[3] = sigma[7]
     net = build_svn(_matrix_from_sigma(sigma))
-    keys = [(e.i, e.j, e.state_i, e.state_j) for e in net.edges]
+    keys = net.edges[["i", "j", "state_i", "state_j"]].tolist()
     assert keys == sorted(keys)
 
 
@@ -162,7 +166,7 @@ def test_build_svn_null_rarely_rejects():
         rng = np.random.default_rng(seed)
         sigma = rng.choice([-1, 1, 2], size=(20, 300)).astype(np.int8)
         net = build_svn(_matrix_from_sigma(sigma))
-        hits += bool(net.edges)
+        hits += len(net.edges) > 0
     assert hits <= 4
 
 
@@ -191,7 +195,7 @@ def _full_tests(lead, lag, ii, jj, T, p0, n_tests=None):
             rows.append((s_i, s_j, int(ii[k]), int(jj[k]), int(co[k]), int(n_i[k]), int(n_j[k])))
     p = hypergeom_sf(T, [r[5] for r in rows], [r[6] for r in rows], [r[4] for r in rows])
     threshold, reject = bh_fdr(p, p0, n_tests)
-    return threshold, len(rows), [r + (float(p[k]),) for k, r in enumerate(rows) if reject[k]]
+    return threshold, len(rows), [r[:5] + (float(p[k]),) for k, r in enumerate(rows) if reject[k]]
 
 
 def _svn_inputs(sigma):
@@ -200,7 +204,7 @@ def _svn_inputs(sigma):
     return ind, ind, iu, ju, sigma.shape[1], None
 
 
-def _random_svn():
+def _random_sigma():
     # iid states, then 15 random pairs share a random 10-40 % of their slices
     rng = np.random.default_rng(11)
     sigma = rng.choice([-1, 0, 1, 2], size=(30, 120))
@@ -208,10 +212,14 @@ def _random_svn():
         i, j = rng.choice(30, size=2, replace=False)
         copy = rng.random(120) < rng.uniform(0.1, 0.4)
         sigma[j, copy] = sigma[i, copy]
-    return _svn_inputs(sigma)
+    return sigma
 
 
-def _planted_svn():
+def _random_svn():
+    return _svn_inputs(_random_sigma())
+
+
+def _planted_sigma():
     rng = np.random.default_rng(12)
     sigma = rng.choice([-1, 0, 1, 2], size=(30, 160))
     for group in (range(0, 6), range(6, 14)):
@@ -219,7 +227,11 @@ def _planted_svn():
         for r in group[1:]:
             copy = rng.random(160) < 0.7
             sigma[r, copy] = leader[copy]
-    return _svn_inputs(sigma)
+    return sigma
+
+
+def _planted_svn():
+    return _svn_inputs(_planted_sigma())
 
 
 def _median_svn():
@@ -276,7 +288,8 @@ def test_screened_tests_equal_full_reference(make, p0):
         assert want[0] > 0.5
     assert got[0] == want[0]
     assert got[1] == want[1]
-    assert got[2] == want[2]  # every rejected tuple, p-values to the bit
+    assert [len(column) for column in got[2]] == [len(want[2])] * 6
+    assert list(zip(*(column.tolist() for column in got[2]))) == want[2]  # every rejected test, p-values to the bit
 
 
 def test_fully_screened_window(monkeypatch):
@@ -296,4 +309,70 @@ def test_fully_screened_window(monkeypatch):
     testable = sum(
         int(occ[a][i] > 0 and occ[b][j] > 0) for a, b in STATE_PAIRS for i, j in itertools.combinations(range(4), 2)
     )
-    assert (net.threshold, net.n_tests, net.edges, net.nodes) == (0.0, testable, [], [])
+    assert (net.threshold, net.n_tests, len(net.edges), net.nodes) == (0.0, testable, 0, [])
+
+
+@dataclass(frozen=True)
+class _Link:
+    """One validated link as a record: how build_svn held its edges before they were columns."""
+
+    i: object
+    j: object
+    state_i: int
+    state_j: int
+    co_count: int
+    p_value: float
+
+
+def _record_reference(matrix):
+    """``build_svn`` and ``project_weighted`` with one record per link, sorted by key: (edges, nodes, graph)."""
+    ind = {s: (matrix.sigma == s) for s in ACTIVE_STATES}
+    iu, ju = np.triu_indices(matrix.n_traders, k=1)
+    _, _, rejected = _cooccurrence_tests(ind, ind, iu, ju, matrix.n_slices, 0.05)
+    edges = [_Link(matrix.traders[i], matrix.traders[j], s_i, s_j, x, p)
+             for s_i, s_j, i, j, x, p in zip(*(column.tolist() for column in rejected))]
+    edges.sort(key=lambda e: (str(e.i), str(e.j), e.state_i, e.state_j))
+    nodes = sorted({e.i for e in edges} | {e.j for e in edges}, key=str)
+    weights = {}
+    for e in edges:
+        if (e.state_i, e.state_j) in {(1, -1), (-1, 1)}:
+            continue
+        key = (e.i, e.j) if str(e.i) <= str(e.j) else (e.j, e.i)
+        weights[key] = weights.get(key, 0) + 1
+    graph_nodes = sorted({i for i, _ in weights} | {j for _, j in weights}, key=str)
+    index = {n: k for k, n in enumerate(graph_nodes)}
+    adj = [dict() for _ in graph_nodes]
+    for (i, j), w in weights.items():
+        adj[index[i]][index[j]] = w
+        adj[index[j]][index[i]] = w
+    return [astuple(e) for e in edges], nodes, WeightedGraph(graph_nodes, adj)
+
+
+def _ids_out_of_str_order():
+    # row order 10, 9, "2", "10b", "a\0", "a"; str order "10" < "10b" < "2" < "9" < "a" < "a\0"
+    rng = np.random.default_rng(5)
+    sigma = rng.choice([-1, 1, 2], size=(6, 150)).astype(np.int8)
+    for src, dst, share in ((0, 1, 0.8), (1, 2, 0.6), (0, 3, 0.5), (2, 3, 0.7), (5, 4, 0.8), (1, 4, 0.4)):
+        copy = rng.random(150) < share
+        sigma[dst, copy] = sigma[src, copy]
+    return dataclasses.replace(_matrix_from_sigma(sigma), traders=[10, 9, "2", "10b", "a\x00", "a"])
+
+
+@pytest.mark.parametrize("make", [
+    _ids_out_of_str_order,
+    lambda: _matrix_from_sigma(_random_sigma()),
+    lambda: _matrix_from_sigma(_planted_sigma()),
+], ids=["ids-out-of-str-order", "random", "planted"])
+def test_columnar_network_equals_the_record_reference(make):
+    matrix = make()
+    edges, nodes, graph = _record_reference(matrix)
+    assert len(graph.nodes) > 3, "the case must validate links between several traders"
+    net = build_svn(matrix)
+    assert net.edges.dtype == SVN_EDGE
+    assert net.edges.tolist() == edges  # same order, every field, p-values to the bit
+    assert net.nodes == nodes
+    projected = project_weighted(net)
+    assert projected.nodes == graph.nodes
+    assert all(got == want for got, want in zip(projected.adj, graph.adj, strict=True))
+    # the neighbours' order sets the summation order of the map equation, so it must match too
+    assert [list(row.items()) for row in projected.adj] == [list(row.items()) for row in graph.adj]
