@@ -161,6 +161,12 @@ class _Partitioner:
     cached term is the value ``_term`` would compute afresh, so every score,
     and with it every accepted move and merge, keeps its bits.
 
+    A node whose links all lie inside its module has no candidate move.  A
+    visit that finds one marks it ``interior``, and the move passes skip it
+    until a neighbour moves; a merge never splits a module, so aggregation
+    keeps the marks.  A skipped visit is one that would score nothing, so
+    the moves and the generator's draws are those of visiting every node.
+
     After each round of ``optimize`` that changed the partition, and after
     each sweep of a long move pass (``_LONG_PASS``), the codelength of the
     canonical labels is recomputed from scratch into ``L`` and must have gone
@@ -198,6 +204,7 @@ class _Partitioner:
 
     def _load(self, labels):
         self.labels = labels
+        self.interior = [False] * self.n
         self.vol, self.cut = {}, {}
         for k, m in enumerate(labels):
             self.vol[m] = self.vol.get(m, 0) + self.s[k]
@@ -234,8 +241,6 @@ class _Partitioner:
         and one exit term.
         """
         a, s_k, w2 = self.labels[k], self.s[k], self.w2
-        if a in w_to and len(w_to) == 1:
-            return []
         cut, vol, term, log2 = self.cut, self.vol, self.term, math.log2
         c = cut[a] + 2 * w_to.get(a, 0) - s_k
         d_a = self._term(c, vol[a] - s_k) - term[a]
@@ -283,7 +288,12 @@ class _Partitioner:
             improving = False
             rng.shuffle(order)
             for k in order.tolist():
+                if self.interior[k]:
+                    continue
                 w_to = self._weights_to(k)
+                if len(w_to) == 1 and self.labels[k] in w_to:
+                    self.interior[k] = True
+                    continue
                 best_delta, best = 0.0, None
                 for delta, b in self._move_deltas(k, w_to):
                     if delta < best_delta - 1e-12:
@@ -291,6 +301,8 @@ class _Partitioner:
                 if best is not None:
                     self._commit(self._moved(k, best, w_to))
                     self.labels[k] = best
+                    for nbr, _ in self.adj[k]:
+                        self.interior[nbr] = False
                     improving = True
             sweeps += improving
             if improving and sweeps >= _LONG_PASS:
@@ -341,6 +353,8 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
     Runs ``n_restarts`` seeded restarts per connected component, keeps the
     minimal-codelength result (ties broken by lexicographically smallest
     assignment), and returns a mapping node -> contiguous positive label.
+    A component of two nodes of equal strength is searched once: its two
+    nodes score the same move, so every restart returns the same result.
     """
     if graph.n_nodes == 0:
         return {}
@@ -357,8 +371,9 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
         else:
             comp_strengths = [strengths[g] for g in comp]
             part = _Partitioner(adj, comp_strengths, w2)
+            symmetric = len(comp) == 2 and comp_strengths[0] == comp_strengths[1]
             best, best_L = None, None
-            for r in range(n_restarts):
+            for r in range(min(n_restarts, 1) if symmetric else n_restarts):
                 rng = np.random.default_rng([seed, r])
                 labels, L = _canonical(part.optimize(rng)), part.L
                 key = (round(L, 12), labels)

@@ -6,6 +6,9 @@ Newey-West asymptotic variant behind a method flag), one-sided location
 tests, rank-statistic ROC-AUC and hourly conditioning.  ``sample_tests`` is
 the one battery (predictive power plus location) run on a sample;
 ``forecast_report`` runs it on a whole forecast and on each hour of it.
+
+``scipy.stats`` is imported by the functions that call it, not here: it is
+the largest import of the package, and only evaluation needs it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,9 @@ def chou_chu_test(
         if lrv <= 0:
             return None
         z = mean / math.sqrt(lrv / n)
-        p = float(sps.norm.sf(z))
+        from scipy.stats import norm
+
+        p = float(norm.sf(z))
         return TestResult(statistic=float(z), p_value=p, n=n, method="chou-chu-asymptotic")
     raise ValueError(f"unknown method {method!r}")
 
@@ -121,6 +124,8 @@ def _newey_west_lrv(x, max_lag: int) -> float:
 
 def _wilcoxon_exact_greater(values) -> TestResult:
     """Exact one-sided signed-rank p-value with midranks for ties."""
+    from scipy.stats import rankdata
+
     v = np.asarray(values, dtype=np.float64)
     v = v[v != 0]
     n = len(v)
@@ -139,6 +144,8 @@ def _wilcoxon_exact_greater(values) -> TestResult:
 
 
 def _wilcoxon_normal_greater(values) -> TestResult:
+    from scipy.stats import norm, rankdata
+
     v = np.asarray(values, dtype=np.float64)
     v = v[v != 0]
     n = len(v)
@@ -151,7 +158,7 @@ def _wilcoxon_normal_greater(values) -> TestResult:
     if var <= 0:
         return TestResult(statistic=w_plus, p_value=1.0, n=n, method="wilcoxon-normal")
     z = (w_plus - mean - 0.5) / math.sqrt(var)
-    return TestResult(statistic=z, p_value=float(sps.norm.sf(z)), n=n, method="wilcoxon-normal")
+    return TestResult(statistic=z, p_value=float(norm.sf(z)), n=n, method="wilcoxon-normal")
 
 
 def location_tests(values):
@@ -161,10 +168,12 @@ def location_tests(values):
     approximation with tie correction beyond.  All-zero input leaves the
     Wilcoxon absent.
     """
+    from scipy.stats import ttest_1samp
+
     v = np.asarray(values, dtype=np.float64)
     if len(v) < 10:
         raise ValueError(f"need n >= 10 values, got {len(v)}")
-    t_stat, t_p = sps.ttest_1samp(v, 0.0, alternative="greater")
+    t_stat, t_p = ttest_1samp(v, 0.0, alternative="greater")
     t_res = TestResult(statistic=float(t_stat), p_value=float(t_p), n=len(v), method="t")
     nz = v[v != 0]
     if len(nz) == 0:
@@ -178,6 +187,8 @@ def location_tests(values):
 
 def roc_auc(scores, outcomes) -> float:
     """AUC = P(score+ > score-) + P(equal)/2, via the rank statistic."""
+    from scipy.stats import rankdata
+
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(outcomes)
     pos = s[y == 1]

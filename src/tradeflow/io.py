@@ -328,18 +328,22 @@ def write_svn(out_dir, network: ValidatedNetwork):
 
 def read_svn_edges(path) -> ValidatedNetwork:
     """The network of ``svn_edges.csv``, its edges ``SVN_EDGE`` records; the file stores no threshold,
-    n_tests, p0 or T, so they read 0.  A self-link or a repeated (i, j, state_i, state_j) is refused."""
+    n_tests, p0 or T, so they read 0.  A self-link or a repeated link is refused; (j, i, state_j, state_i)
+    repeats (i, j, state_i, state_j), since the synchronous network tests each unordered pair once."""
     edges = _read_columns(path, SVN_EDGE)
     keys = edges[["i", "j", "state_i", "state_j"]].tolist()
-    if len(set(keys)) < len(keys) or (edges["i"] == edges["j"]).any():
+    ends = [frozenset(((i, s), (j, t))) for i, j, s, t in keys]
+    if len(set(ends)) < len(ends) or (edges["i"] == edges["j"]).any():
         row_of, lines = {}, _data_lines(path)
-        for k, key in enumerate(keys):
+        for k, (key, pair) in enumerate(zip(keys, ends)):
             if key[0] == key[1]:
                 raise ValueError(f"{path} line {lines[k]}: trader {key[0]!r} links to itself")
-            if key in row_of:
+            if pair in row_of:
+                first = keys[row_of[pair]]
+                as_first = "" if first == key else f" ({','.join(map(str, first))}) mirrored"
                 raise ValueError(f"{path} line {lines[k]}: link {','.join(map(str, key))} repeats line "
-                                 f"{lines[row_of[key]]}")
-            row_of[key] = k
+                                 f"{lines[row_of[pair]]}{as_first}")
+            row_of[pair] = k
     return ValidatedNetwork(nodes=edge_nodes(edges), edges=edges, threshold=0.0, n_tests=0, p0=0.0, T=0)
 
 

@@ -30,6 +30,7 @@ from .ingest import ACTIVE_STATES, StateMatrix
 
 STATE_PAIRS = tuple(product(ACTIVE_STATES, ACTIVE_STATES))
 MIN_WINDOW_SLICES = 50  # shortest window (in slices) the co-occurrence tests accept
+_TAIL_CHUNK = 1 << 16  # tail terms that hypergeom_sf sums at once; bounds its transient arrays
 SCREEN_MARGIN = 1e-9  # log-space slack so that a screened test's computed p exceeds p0 despite round-off
 # one validated link: traders i and j (i's row before j's), their states, the co-occurrence count and p
 SVN_EDGE = np.dtype([("i", object), ("j", object), ("state_i", np.int64), ("state_j", np.int64),
@@ -74,6 +75,17 @@ def _log_pmf(lf, T: int, n_i, n_j, k):
     )
 
 
+def _tail_sums(lf, T: int, n_i, n_j, x):
+    """P(X >= x) for x above the bottom of each support, by one segmented log-sum-exp."""
+    lengths = np.minimum(n_i, n_j) - x + 1
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    k = np.repeat(x, lengths) + (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths))
+    logpmf = _log_pmf(lf, T, np.repeat(n_i, lengths), np.repeat(n_j, lengths), k)
+    seg_max = np.maximum.reduceat(logpmf, offsets[:-1])
+    seg_sum = np.add.reduceat(np.exp(logpmf - np.repeat(seg_max, lengths)), offsets[:-1])
+    return np.minimum(1.0, np.exp(seg_max) * seg_sum)
+
+
 def hypergeom_sf(T: int, n_i, n_j, x):
     """Exact upper tail P(X >= x), X hypergeometric(T, n_i marked, n_j drawn).
 
@@ -81,7 +93,10 @@ def hypergeom_sf(T: int, n_i, n_j, x):
     window length ``T``; scalar arguments give a float, arrays an array.  The
     pmf over k = x..min(n_i, n_j) is summed from a log-factorial table by a
     segmented log-sum-exp over the ragged supports; exact to ~1e-13 relative
-    error for any window length.
+    error for any window length.  The tails are summed in chunks of whole
+    tails of at most ``_TAIL_CHUNK`` terms (a longer tail is a chunk of its
+    own), so the memory held stays bounded; each tail's terms are summed
+    alone and in order, so the chunking leaves every bit as it is.
     """
     scalar = np.ndim(n_i) == np.ndim(n_j) == np.ndim(x) == 0
     T = int(T)
@@ -94,16 +109,17 @@ def hypergeom_sf(T: int, n_i, n_j, x):
     if ((x < 0) | (x > hi)).any():
         raise ValueError("need 0 <= x <= min(n_i, n_j)")
     out = np.ones(len(x), dtype=np.float64)
-    need = x > np.maximum(0, n_i + n_j - T)  # else x is at or below the support: P = 1
-    if need.any():
-        ni, nj, xs, his = n_i[need], n_j[need], x[need], hi[need]
-        lengths = his - xs + 1
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        k = np.repeat(xs, lengths) + (np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths))
-        logpmf = _log_pmf(_log_factorials(T), T, np.repeat(ni, lengths), np.repeat(nj, lengths), k)
-        seg_max = np.maximum.reduceat(logpmf, offsets[:-1])
-        seg_sum = np.add.reduceat(np.exp(logpmf - np.repeat(seg_max, lengths)), offsets[:-1])
-        out[need] = np.minimum(1.0, np.exp(seg_max) * seg_sum)
+    need = np.flatnonzero(x > np.maximum(0, n_i + n_j - T))  # else x is at or below the support: P = 1
+    if len(need):
+        lf = _log_factorials(T)
+        ends = np.cumsum(hi[need] - x[need] + 1)
+        start = 0
+        while start < len(need):
+            base = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, base + _TAIL_CHUNK, side="right")))
+            chunk = need[start:stop]
+            out[chunk] = _tail_sums(lf, T, n_i[chunk], n_j[chunk], x[chunk])
+            start = stop
     return float(out[0]) if scalar else out
 
 

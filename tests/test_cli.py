@@ -2,8 +2,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -210,6 +213,34 @@ def test_stability_command(pipeline_run, cfg_path, tmp_path):
         "partition_latest.csv": "30c1c07c9c896862a3db89bf316563c2947545525c865bb56576fca551e316d8",
         "river.csv": "3571530cbabe8d4de80a42fde09f1f0f799bbea8df5f350a74a4734829f96188",
     }
+
+
+# runs the stages but evaluation in a fresh interpreter, then evaluation, noting after each whether scipy.stats is loaded
+_STAGES_SCRIPT = """
+import json, sys
+import tradeflow, tradeflow.cli
+cfg, d = sys.argv[1], sys.argv[2]
+loaded = {"import": "scipy.stats" in sys.modules}
+for argv in (["synth", "--out", d], ["ingest", "--trades", d + "/trades.csv", "--out", d],
+             ["svn", "--states", d, "--out", d], ["communities", "--edges", d + "/svn_edges.csv", "--out", d],
+             ["leadlag", "--states", d, "--partition", d + "/partition.csv", "--out", d],
+             ["stability", "--states", d, "--out", d + "/stab"],
+             ["forecast", "--states", d, "--trades", d + "/trades.csv", "--out", d],
+             ["evaluate", "--forecasts", d, "--out", d]):
+    assert tradeflow.cli.main([argv[0], "--config", cfg, *argv[1:]]) == 0
+    loaded[argv[0]] = "scipy.stats" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_evaluation_loads_scipy_stats(cfg_path, tmp_path):
+    src = str(Path(tradeflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _STAGES_SCRIPT, cfg_path, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == {"import": False, "synth": False, "ingest": False, "svn": False, "communities": False,
+                      "leadlag": False, "stability": False, "forecast": False, "evaluate": True}
 
 
 def test_pipeline_on_a_market_with_no_validated_link(tmp_path):

@@ -441,6 +441,59 @@ def test_detect_handles_disconnected_components():
     assert sorted(set(part.values())) == [1, 2]
 
 
+def _disjoint(*graphs):
+    """The union of ``graphs``, each one's nodes numbered after the previous ones'."""
+    adj, offset = [], 0
+    for g in graphs:
+        adj += [{nbr + offset: w for nbr, w in row.items()} for row in g.adj]
+        offset += g.n_nodes
+    return WeightedGraph(nodes=list(range(offset)), adj=adj)
+
+
+def _ten_restart_reference(g, seed):
+    """detect_communities as it searched every component with 10 restarts."""
+    strengths = [g.strength(k) for k in range(g.n_nodes)]
+    w2 = sum(strengths)
+    out, next_label = {}, 0
+    for comp in g.components():
+        local = {n: k for k, n in enumerate(comp)}
+        best = [0] * len(comp)
+        if len(comp) > 1:
+            part = _Partitioner([{local[nbr]: w for nbr, w in g.adj[n].items()} for n in comp],
+                                [strengths[n] for n in comp], w2)
+            runs = []
+            for r in range(10):
+                labels = _canonical(part.optimize(np.random.default_rng([seed, r])))
+                runs.append((round(part.L, 12), labels))
+            best = min(runs)[1]
+        out.update((n, next_label + best[k] + 1) for k, n in enumerate(comp))
+        next_label += max(best) + 1
+    return out
+
+
+def test_two_node_components_are_searched_once(monkeypatch):
+    # three pairs of equal strength, one pair whose self-loop makes the strengths differ, and larger components
+    pairs = [WeightedGraph(nodes=[0, 1], adj=[{1: w}, {0: w}]) for w in (1, 3, 2)]
+    looped = WeightedGraph(nodes=[0, 1], adj=[{0: 2, 1: 1}, {0: 1}])
+    g = _disjoint(pairs[0], _clique_pair(4, bridges=2), pairs[1], _random_graph(), looped, pairs[2],
+                  _planted_graph(3))
+    assert [len(c) for c in g.components()].count(2) == 4
+    searches = []
+    optimize = _Partitioner.optimize
+
+    def counted(self, rng):
+        searches.append(self.n)
+        return optimize(self, rng)
+
+    monkeypatch.setattr(_Partitioner, "optimize", counted)
+    for seed in (0, 11):
+        searches.clear()
+        part = detect_communities(g, seed=seed)
+        assert searches.count(2) == 3 + 10  # the equal pairs once each, the looped pair 10 times
+        assert len(searches) == 3 + 10 + 3 * 10
+        assert part == _ten_restart_reference(g, seed)
+
+
 def test_detect_empty_graph():
     assert detect_communities(WeightedGraph(nodes=[], adj=[]), seed=0) == {}
 

@@ -296,10 +296,12 @@ SVN_HEADER = ",".join(SVN_EDGE.names) + "\n"
         ("svn_edges.csv", SVN_HEADER + "a,b,1,1,7,1e-09\nb,c,1,1,3,1e-08\n\na,b,1,1,7,1e-09\n",
          r"line 5: link a,b,1,1 repeats line 2"),
         ("svn_edges.csv", SVN_HEADER + "a,b,1,1,7,1e-09\nc,c,-1,-1,3,1e-08\n", r"line 3: trader 'c' links to itself"),
+        ("svn_edges.csv", SVN_HEADER + "a,b,1,-1,7,1e-09\nb,c,1,1,3,1e-08\nb,a,-1,1,7,1e-09\n",
+         r"line 4: link b,a,-1,1 repeats line 2 \(a,b,1,-1\) mirrored"),
     ],
     ids=["partition-header", "partition-label", "partition-lines", "partition-short-row", "partition-empty",
          "forecasts-header", "forecasts-prediction", "forecasts-flow", "forecasts-vwap", "svn-header", "svn-p-value",
-         "svn-repeated-link", "svn-self-link"],
+         "svn-repeated-link", "svn-self-link", "svn-mirrored-link"],
 )
 def test_malformed_artifact_is_refused(tmp_path, name, text, message):
     path = tmp_path / name

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import comb
@@ -72,6 +73,41 @@ def test_hypergeom_array_matches_enumeration():
     for k in range(300):
         want = float(exact_sf(T, int(n_i[k]), int(n_j[k]), int(x[k])))
         assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def _long_tails(n, seed=0):
+    """T, n_i, n_j and x of n tails of a 630-slice window, 1-40 terms each."""
+    rng = np.random.default_rng(seed)
+    T = 630
+    n_i, n_j = rng.integers(20, 121, n), rng.integers(20, 121, n)
+    hi = np.minimum(n_i, n_j)
+    x = np.maximum(np.maximum(0, n_i + n_j - T), hi - rng.integers(0, 40, n))
+    return T, n_i, n_j, x
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_tail_chunks_keep_the_bits(chunk, monkeypatch):
+    T, n_i, n_j, x = _long_tails(3_000)
+    x[::10] = np.maximum(0, n_i + n_j - T)[::10]  # P = 1, never summed
+    monkeypatch.setattr(svn, "_TAIL_CHUNK", 1 << 40)
+    whole = hypergeom_sf(T, n_i, n_j, x)
+    monkeypatch.setattr(svn, "_TAIL_CHUNK", chunk)
+    assert (np.minimum(n_i, n_j) - x + 1 > chunk).sum() > 1_000  # tails longer than a chunk are chunks of their own
+    assert hypergeom_sf(T, n_i, n_j, x).tobytes() == whole.tobytes()
+
+
+def test_tail_sums_hold_bounded_memory():
+    # 200k tails of about 4M terms: one pass over all the terms holds about 196 MB
+    T, n_i, n_j, x = _long_tails(200_000)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        hypergeom_sf(T, n_i, n_j, x)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_bh_hand_stepped_example():
