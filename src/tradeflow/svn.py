@@ -172,19 +172,36 @@ def _cooccurrence_tests(lead: dict, lag: dict, ii, jj, T: int, p0: float, n_test
     their bits, and BH runs on them with the full family size: screened
     tests rank after every p <= p0, so the threshold, the rejections and
     ``n_tested`` are those of testing every pair.
+
+    When ``lead is lag`` (the synchronous network) the lag side reuses the
+    lead side's float64 copies and occurrence counts, and the counts of
+    (s', s) are the transpose of those of (s, s'), so 6 of the 9 products
+    run.  The counts are whole numbers below 2**53, so their bits are those
+    of the full path.
     """
     lf = _log_factorials(T)
     log_cut = np.log(p0) + SCREEN_MARGIN
     median_skip = log_cut < np.log(0.5)
     lead_occ = {s: lead[s].sum(axis=1).astype(np.int64) for s in ACTIVE_STATES}
-    lag_occ = {s: lag[s].sum(axis=1).astype(np.int64) for s in ACTIVE_STATES}
     # float64 products run on BLAS and are exact: every count is at most T < 2**53
     lead_f = {s: lead[s].astype(np.float64) for s in ACTIVE_STATES}
-    lag_f = {s: lag[s].astype(np.float64) for s in ACTIVE_STATES}
+    symmetric = lead is lag
+    if symmetric:
+        lag_occ, lag_f = lead_occ, lead_f
+    else:
+        lag_occ = {s: lag[s].sum(axis=1).astype(np.int64) for s in ACTIVE_STATES}
+        lag_f = {s: lag[s].astype(np.float64) for s in ACTIVE_STATES}
+    mirrored = {}  # (s', s) -> its counts, taken from the product of (s, s')
     n_tested = 0
     blocks = []
     for s_i, s_j in STATE_PAIRS:
-        co = (lead_f[s_i] @ lag_f[s_j].T)[ii, jj].astype(np.int64)
+        co = mirrored.pop((s_i, s_j), None)
+        if co is None:
+            product = lead_f[s_i] @ lag_f[s_j].T
+            co = product[ii, jj].astype(np.int64)
+            if symmetric and s_i != s_j:
+                mirrored[s_j, s_i] = product[jj, ii].astype(np.int64)
+            del product  # rows x rows: freed before the tail sums
         n_i = lead_occ[s_i][ii]
         n_j = lag_occ[s_j][jj]
         n_tested += int(((n_i > 0) & (n_j > 0)).sum())

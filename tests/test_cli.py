@@ -390,3 +390,46 @@ def test_readme_config_block_loads(tmp_path):
     (tmp_path / "config.yaml").write_text(block)
     cfg = RunConfig.load(str(tmp_path / "config.yaml"))  # refuses unknown keys and values
     assert (cfg.instrument, cfg.n_trees, cfg.window_lengths[-1]) == ("EURUSD", 500, 90)
+
+
+def test_synth_command_is_pinned(tmp_path):
+    # covers the mapping from a config's market block and --seed to MarketSpec
+    market = {
+        "group_sizes": [4, 3], "n_noise_traders": 3, "sync_fidelity": 0.9, "copy_fidelity": 0.8,
+        "leadlag_edges": [{"leader": 1, "follower": 0, "invert": True}], "alpha": 1.5,
+        "n_weekdays": 4, "start_date": "2024-03-04", "instrument": "GBPUSD", "member_rate": 1.5,
+        "neutral_prob": 0.3, "kappa": 0.001, "price_noise": 0.0003, "base_price": 1.25,
+    }
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"seed": 2, "market": market}))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path), "--seed", "6"]) == 0
+    assert (_sha256(tmp_path / "trades.csv"), _sha256(tmp_path / "ground_truth.json")) == (
+        "fc034b00895cd0ef246918cff25c417fff44a53b8d3c6f05e943a7362b111c86",
+        "31f3f7693a02c203842e932f229280c22ed3681474d5521972065d59daeb0e4d",
+    )
+
+
+@pytest.mark.parametrize("market, key", [
+    ({"n_noise_traders": 2.5}, "n_noise_traders"),
+    ({"n_noise_traders": True}, "n_noise_traders"),
+    ({"member_rate": float("nan")}, "member_rate"),
+    ({"member_rate": float("inf")}, "member_rate"),
+    ({"n_weekdays": 2.5}, "n_weekdays"),
+    ({"n_weekdays": True}, "n_weekdays"),
+    ({"group_sizes": [2.5]}, "group sizes"),
+    ({"group_sizes": [3, True]}, "group sizes"),
+    ({"price_noise": -1.0}, "price_noise"),
+    ({"price_noise": float("inf")}, "price_noise"),
+    ({"base_price": -1.0}, "base_price"),
+    ({"base_price": 0.0}, "base_price"),
+    ({"base_price": float("nan")}, "base_price"),
+    ({"kappa": float("inf")}, "kappa"),
+    ({"kappa": float("nan")}, "kappa"),
+])
+def test_synth_refuses_market_values_it_cannot_build(tmp_path, market, key):
+    # each of these crashed in numpy, built another market than asked or wrote NaN or negative prices
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"market": market}))
+    with pytest.raises(SystemExit, match=f"^config error: {key} must be"):
+        main(["synth", "--config", str(config), "--out", str(tmp_path)])
+    assert not (tmp_path / "trades.csv").exists()

@@ -302,6 +302,18 @@ def _planted_leadlag():
     )
 
 
+@pytest.mark.parametrize("make", [_random_svn, _planted_svn])
+def test_shared_indicators_equal_copied_ones(make):
+    # one dict for lead and lag takes the transposed, 6-product path; a copy takes the full one
+    ind, _, ii, jj, T, _ = make()
+    shared = _cooccurrence_tests(ind, ind, ii, jj, T, 0.05)
+    copied = _cooccurrence_tests(ind, dict(ind), ii, jj, T, 0.05)
+    assert len(shared[2][0]) > 0, "the case must reject something"
+    assert shared[:2] == copied[:2]
+    for got, want in zip(shared[2], copied[2]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "make, p0",
     [

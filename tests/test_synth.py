@@ -1,3 +1,5 @@
+import hashlib
+import json
 from datetime import date
 
 import numpy as np
@@ -5,8 +7,12 @@ import pytest
 
 from tradeflow.ingest import classify_states
 from tradeflow.synth import (
+    ROUND_SIZES,
+    ROUND_WEIGHTS,
     MarketSpec,
     PlantedEdge,
+    _cdf,
+    _pick,
     generate_market,
     sample_trade_counts,
 )
@@ -156,3 +162,93 @@ def test_price_drift_follows_planted_flow():
     ok = directional & ~np.isnan(d)
     agree = np.mean(d[ok] == lagged_state[ok])
     assert agree > 0.9
+
+
+def _market_digest(trades, truth):
+    """sha256 of every generated column (dtype, shape and bytes), the id tables and the ground truth."""
+    h = hashlib.sha256()
+    arrays = [getattr(trades, c) for c in ("trader", "timestamp", "instrument", "signed_volume", "price")]
+    for a in arrays + [truth.intended_states]:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(json.dumps([trades.trader_ids, trades.instruments, sorted(truth.partition.items()),
+                         truth.leadlag_edges]).encode())
+    return h.hexdigest()
+
+
+def _cells(trades, grid):
+    """Per (trader, slice) cell of ``trades``: its trade count and its net volume."""
+    cell = trades.trader.astype(np.int64) * len(grid) + np.searchsorted(grid.starts, trades.timestamp, side="right") - 1
+    _, index, count = np.unique(cell, return_inverse=True, return_counts=True)
+    return count, np.bincount(index, weights=trades.signed_volume)
+
+
+# specs between them reach every branch of the trade loop; each test asserts the branch it pins
+PINNED_SPECS = {
+    # an inverted planted edge, no noise traders
+    "inverted-no-noise": MarketSpec(
+        group_sizes=(3, 2), n_noise_traders=0, leadlag_edges=(PlantedEdge(0, 1, invert=True),),
+        copy_fidelity=1.0, member_rate=1.0, neutral_prob=0.4, kappa=1e-3, n_weekdays=3, seed=3,
+    ),
+    # noise traders only; at alpha = 1000 every activity total is 1 (0.5 (1 - u)^(-1/999) < 1.5
+    # for every float u < 1), so each trader has one cell of one trade: a neutral one shows as two
+    "noise-only-single-trades": MarketSpec(
+        group_sizes=(), n_noise_traders=12, alpha=1000.0, neutral_prob=0.5, n_weekdays=2, seed=5,
+    ),
+    # heavy noise over one day: neutral noise cells of nine trades and more, whose buy np.sum adds pairwise
+    "heavy-noise": MarketSpec(group_sizes=(4,), n_noise_traders=6, alpha=1.1, n_weekdays=1, seed=8),
+    "no-trades": MarketSpec(group_sizes=(2,), n_noise_traders=0, member_rate=0.0, n_weekdays=2, seed=1),
+    "default-week": MarketSpec(n_weekdays=5, seed=2),
+}
+PINNED_DIGESTS = {
+    "inverted-no-noise": "6cf52fbda8198ad998a916a0d906db01b454283b1dbe69005da696ac122148da",
+    "noise-only-single-trades": "c3d11ce2ef6105d2ea2971f47cfb7d4d898dc5de2d517f8fcb4b04cca350db5e",
+    "heavy-noise": "c570e73707ba14079acc1c8d96ab112349ba9ff1a691f8a815a64c00af807ec5",
+    "no-trades": "16c6e8918b712da4a1ae7de352b5ec49f717f2235abf5000e3f3a2494182f0cd",
+    "default-week": "5a4a3c519104b725fac02e0f498e582cd5d640b3bd109374759af04bdb625ece",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+def test_generated_market_is_pinned(name):
+    # digests recorded from the generator that drew each cell's trades one slice at a time
+    spec = PINNED_SPECS[name]
+    trades, truth = generate_market(spec)
+    dtypes = [getattr(trades, c).dtype for c in ("trader", "timestamp", "signed_volume", "price")]
+    assert dtypes == [np.int32, np.int64, np.float64, np.float64]
+    count, net = _cells(trades, truth.grid)
+    if name == "inverted-no-noise":
+        lead, follow = truth.intended_states
+        directional = np.abs(lead[:-1]) == 1
+        assert directional.any() and np.array_equal(follow[1:][directional], -lead[:-1][directional])
+        assert not any(t.startswith("noise") for t in trades.trader_ids)
+    elif name == "noise-only-single-trades":
+        assert truth.partition == {} and len(trades.trader_ids) == 12
+        assert sample_trade_counts(np.random.default_rng(0), 10_000, spec.alpha).max() == 1
+        neutral = net == 0.0  # a directional cell's trades share one sign
+        assert neutral.any() and np.all(count[neutral] == 2) and np.all(count[~neutral] == 1)
+    elif name == "heavy-noise":
+        assert (count[net == 0.0] >= 9).any()
+    elif name == "no-trades":
+        assert len(trades) == 0
+    assert _market_digest(trades, truth) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("weights", ["round-sizes", "states-0", "states-0.1", "states-0.2", "states-0.37", "states-1"])
+@pytest.mark.parametrize("used", [0, 1, 7])
+def test_cdf_lookup_equals_choice(weights, used):
+    # the lookup must draw what Generator.choice(a, size, p=p) draws, and leave the stream where choice leaves it
+    if weights == "round-sizes":
+        values, p = ROUND_SIZES, ROUND_WEIGHTS
+    else:
+        neutral = float(weights.split("-")[1])
+        values, p = np.array([-1, 1, 2], dtype=np.int8), [(1 - neutral) / 2, (1 - neutral) / 2, neutral]
+    ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+    for rng in (ours, theirs):  # a partly used generator: earlier draws of other kinds
+        rng.normal(size=used)
+        rng.integers(0, 3_600_000, size=used)
+    cdf = _cdf(p)
+    for size in list(range(51)) + [(3, 17)]:
+        got, want = _pick(values, cdf, ours.random(size)), theirs.choice(values, size, p=p)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), size
+    assert ours.bit_generator.state == theirs.bit_generator.state
