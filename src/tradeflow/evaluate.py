@@ -7,8 +7,10 @@ tests, rank-statistic ROC-AUC and hourly conditioning.  ``sample_tests`` is
 the one battery (predictive power plus location) run on a sample;
 ``forecast_report`` runs it on a whole forecast and on each hour of it.
 
-``scipy.stats`` is imported by the functions that call it, not here: it is
-the largest import of the package, and only evaluation needs it.
+Nothing here loads ``scipy.stats`` (about 45 MB resident): the normal and
+Student t tails come from ``scipy.special``, and the arithmetic of the t
+test and of the midranks is written out so that every value equals the
+``scipy.stats`` one bit for bit (the tests compare them).
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, stdtr
+
+_PERM_CHUNK = 1 << 16  # permuted elements (rows x padded length) drawn at a time by chou_chu_test
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,14 @@ def chou_chu_test(
     blocks of length ceil(n^(1/3)); ``method="asymptotic"`` uses a
     Newey-West variance for the mean product instead.  Returns None when the
     realized series is constant (test undefined).
+
+    The permutations are drawn in chunks of ``_PERM_CHUNK // (blocks x L)``
+    rows (at least one), so memory stays bounded whatever ``n`` and
+    ``n_permutations`` are.  The chunking does not change the p-value: every
+    block start is one bounded draw from ``Generator.integers``, which below
+    2**32 takes 32-bit words and keeps a leftover half-word between calls, so
+    the draws are the same stream however they are split; and each permuted
+    sum adds +-1 terms, which is exact in any order.
     """
     a, b = _binary_pairs(predicted, realized)
     n = len(a)
@@ -86,7 +99,7 @@ def chou_chu_test(
         rng = np.random.default_rng(seed)
         nb = math.ceil(n / L)
         exceed = 0
-        chunk = max(1, min(n_permutations, 20_000_000 // (nb * L)))
+        chunk = max(1, min(n_permutations, _PERM_CHUNK // (nb * L)))
         done = 0
         idx_base = np.arange(L)
         while done < n_permutations:
@@ -105,9 +118,7 @@ def chou_chu_test(
         if lrv <= 0:
             return None
         z = mean / math.sqrt(lrv / n)
-        from scipy.stats import norm
-
-        p = float(norm.sf(z))
+        p = float(ndtr(-z))
         return TestResult(statistic=float(z), p_value=p, n=n, method="chou-chu-asymptotic")
     raise ValueError(f"unknown method {method!r}")
 
@@ -122,14 +133,22 @@ def _newey_west_lrv(x, max_lag: int) -> float:
     return lrv
 
 
+def _rankdata(x) -> np.ndarray:
+    """1-based ranks of ``x`` as float64, tied values sharing the mean of their positions (midranks).
+
+    A tie group at sorted positions i..j gets j - (j - i) / 2, an exact half,
+    so this equals ``scipy.stats.rankdata(x)`` bit for bit on finite input.
+    """
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def _wilcoxon_exact_greater(values) -> TestResult:
     """Exact one-sided signed-rank p-value with midranks for ties."""
-    from scipy.stats import rankdata
-
     v = np.asarray(values, dtype=np.float64)
     v = v[v != 0]
     n = len(v)
-    ranks2 = (2 * rankdata(np.abs(v))).astype(np.int64)  # doubled midranks are integers
+    ranks2 = (2 * _rankdata(np.abs(v))).astype(np.int64)  # doubled midranks are integers
     w2_obs = int(ranks2[v > 0].sum())
     total = int(ranks2.sum())
     # distribution of the doubled statistic under random sign assignment
@@ -144,12 +163,10 @@ def _wilcoxon_exact_greater(values) -> TestResult:
 
 
 def _wilcoxon_normal_greater(values) -> TestResult:
-    from scipy.stats import norm, rankdata
-
     v = np.asarray(values, dtype=np.float64)
     v = v[v != 0]
     n = len(v)
-    ranks = rankdata(np.abs(v))
+    ranks = _rankdata(np.abs(v))
     w_plus = float(ranks[v > 0].sum())
     mean = n * (n + 1) / 4.0
     _, counts = np.unique(np.abs(v), return_counts=True)
@@ -158,7 +175,7 @@ def _wilcoxon_normal_greater(values) -> TestResult:
     if var <= 0:
         return TestResult(statistic=w_plus, p_value=1.0, n=n, method="wilcoxon-normal")
     z = (w_plus - mean - 0.5) / math.sqrt(var)
-    return TestResult(statistic=z, p_value=float(norm.sf(z)), n=n, method="wilcoxon-normal")
+    return TestResult(statistic=z, p_value=float(ndtr(-z)), n=n, method="wilcoxon-normal")
 
 
 def location_tests(values):
@@ -166,15 +183,20 @@ def location_tests(values):
 
     Exact Wilcoxon for n <= 50 (midrank ties handled by enumeration), normal
     approximation with tie correction beyond.  All-zero input leaves the
-    Wilcoxon absent.
+    Wilcoxon absent.  The t test is ``scipy.stats.ttest_1samp(v, 0.0,
+    alternative="greater")``'s arithmetic, step for step; a sample without
+    variance gives a NaN or infinite statistic, as there.
     """
-    from scipy.stats import ttest_1samp
-
     v = np.asarray(values, dtype=np.float64)
-    if len(v) < 10:
-        raise ValueError(f"need n >= 10 values, got {len(v)}")
-    t_stat, t_p = ttest_1samp(v, 0.0, alternative="greater")
-    t_res = TestResult(statistic=float(t_stat), p_value=float(t_p), n=len(v), method="t")
+    n = len(v)
+    if n < 10:
+        raise ValueError(f"need n >= 10 values, got {n}")
+    mean = np.mean(v)
+    var = np.mean((v - np.mean(v, keepdims=True)) ** 2) * (np.float64(n) / np.float64(n - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stat = mean / np.sqrt(var / n)
+    t_p = stdtr(np.float64(n - 1), -t_stat)
+    t_res = TestResult(statistic=float(t_stat), p_value=float(t_p), n=n, method="t")
     nz = v[v != 0]
     if len(nz) == 0:
         return t_res, None
@@ -187,15 +209,13 @@ def location_tests(values):
 
 def roc_auc(scores, outcomes) -> float:
     """AUC = P(score+ > score-) + P(equal)/2, via the rank statistic."""
-    from scipy.stats import rankdata
-
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(outcomes)
     pos = s[y == 1]
     neg = s[y == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("both outcome classes must be present")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    ranks = _rankdata(np.concatenate([pos, neg]))
     return float((ranks[: len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0) / (len(pos) * len(neg)))
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -215,7 +216,7 @@ def test_stability_command(pipeline_run, cfg_path, tmp_path):
     }
 
 
-# runs the stages but evaluation in a fresh interpreter, then evaluation, noting after each whether scipy.stats is loaded
+# runs every stage in a fresh interpreter, then the whole pipeline, noting after each whether scipy.stats is loaded
 _STAGES_SCRIPT = """
 import json, sys
 import tradeflow, tradeflow.cli
@@ -226,21 +227,36 @@ for argv in (["synth", "--out", d], ["ingest", "--trades", d + "/trades.csv", "-
              ["leadlag", "--states", d, "--partition", d + "/partition.csv", "--out", d],
              ["stability", "--states", d, "--out", d + "/stab"],
              ["forecast", "--states", d, "--trades", d + "/trades.csv", "--out", d],
-             ["evaluate", "--forecasts", d, "--out", d]):
+             ["evaluate", "--forecasts", d, "--out", d],
+             ["pipeline", "--trades", d + "/trades.csv", "--out", d + "/pipe"]):
     assert tradeflow.cli.main([argv[0], "--config", cfg, *argv[1:]]) == 0
     loaded[argv[0]] = "scipy.stats" in sys.modules
 print(json.dumps(loaded))
 """
 
 
-def test_only_evaluation_loads_scipy_stats(cfg_path, tmp_path):
+def test_no_command_loads_scipy_stats(cfg_path, tmp_path):
     src = str(Path(tradeflow.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", _STAGES_SCRIPT, cfg_path, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert loaded == {"import": False, "synth": False, "ingest": False, "svn": False, "communities": False,
-                      "leadlag": False, "stability": False, "forecast": False, "evaluate": True}
+                      "leadlag": False, "stability": False, "forecast": False, "evaluate": False,
+                      "pipeline": False}
+
+
+def test_no_module_imports_scipy_stats():
+    # a function-level import that no command reaches would pass the test above
+    for path in Path(tradeflow.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not [m for m in names if m == "scipy.stats" or m.startswith("scipy.stats.")], path.name
 
 
 def test_pipeline_on_a_market_with_no_validated_link(tmp_path):

@@ -1,10 +1,19 @@
+import contextlib
+import math
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from tradeflow import evaluate
 from tradeflow.evaluate import (
+    _rankdata,
     _wilcoxon_exact_greater,
+    _wilcoxon_normal_greater,
     chou_chu_test,
+    forecast_report,
     hourly_condition,
     location_tests,
     performance_series,
@@ -153,3 +162,90 @@ def test_hourly_condition_partitions_and_omits():
     assert set(table) == {9, 10}
     assert table[9]["chou_chu"].p_value < 0.01
     assert 15 in omitted
+
+
+def _bits(x):
+    """The float64 bits of ``x``, every NaN reading as one value."""
+    x = float(x)
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def _samples():
+    """Seeded (values, scipy_warns) pairs: normal, tied integers with zeros, heavy tails and constant samples.
+
+    The sizes reach n = 10, the smallest location_tests takes, and 50/51, where
+    the Wilcoxon switches from exact to normal.
+    """
+    rng = np.random.default_rng(20)
+    for n in (10, 11, 30, 50, 51, 52, 120, 400):
+        for _ in range(5):
+            yield rng.normal(rng.normal(0.0, 0.5), rng.uniform(0.1, 10.0), n), False
+            yield rng.integers(-4, 5, n).astype(np.float64), False
+            yield rng.standard_t(1.5, n) * 1e3, False
+        yield np.full(n, 0.7), True
+        yield np.zeros(n), False
+
+
+def test_t_test_matches_scipy_bit_for_bit():
+    for v, scipy_warns in _samples():
+        # scipy warns of precision loss on a constant non-zero sample; the reimplementation does not
+        with pytest.warns(RuntimeWarning, match="Precision loss") if scipy_warns else contextlib.nullcontext():
+            want = sps.ttest_1samp(v, 0.0, alternative="greater")
+        got, _ = location_tests(v)
+        assert (_bits(got.statistic), _bits(got.p_value)) == (_bits(want.statistic), _bits(want.pvalue))
+    # the constant samples give the statistics that sample_tests turns into a location_note
+    assert math.isnan(location_tests(np.zeros(10))[0].statistic)
+    assert not math.isfinite(location_tests(np.full(10, 0.5))[0].statistic)
+
+
+def test_rankdata_matches_scipy_bit_for_bit():
+    for v, _ in _samples():
+        for x in (v, np.abs(v), np.round(v, 1)):
+            assert _rankdata(x).tobytes() == sps.rankdata(x).tobytes()
+    assert _rankdata([]).tobytes() == sps.rankdata([]).tobytes()
+
+
+def test_normal_tails_match_scipy_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for v, _ in _samples():
+        w = _wilcoxon_normal_greater(v)
+        if w.n:
+            assert _bits(w.p_value) == _bits(sps.norm.sf(w.statistic))
+    for n in (30, 100, 400):
+        real = rng.choice([-1, 1], size=n)
+        pred = np.where(rng.random(n) < 0.6, real, -real)
+        res = chou_chu_test(pred, real, method="asymptotic")
+        assert _bits(res.p_value) == _bits(sps.norm.sf(res.statistic))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_chou_chu_p_value_does_not_depend_on_the_chunk(monkeypatch, seed):
+    rng = np.random.default_rng(22)
+    n = 230
+    real = rng.choice([-1, 1], size=n)
+    pred = np.where(rng.random(n) < 0.53, real, -real)
+    want = chou_chu_test(pred, real, seed=seed).p_value
+    assert 0.01 < want < 0.99
+    L = math.ceil(n ** (1.0 / 3.0))
+    padded = math.ceil(n / L) * L
+    for rows in (1, 3, 10_000):  # 10,000 rows draws every permutation in one call
+        monkeypatch.setattr(evaluate, "_PERM_CHUNK", rows * padded)
+        assert chou_chu_test(pred, real, seed=seed).p_value == want
+
+
+def test_forecast_report_memory_is_bounded():
+    # the paper's sample size; a chunk of all 10,000 permutations would hold about 280 MB
+    rng = np.random.default_rng(23)
+    n = 1750
+    real = rng.choice([-1, 1], size=n)
+    pred = np.where(rng.random(n) < 0.55, real, -real)
+    flow = real * rng.pareto(1.5, n) * 1e4
+    hours = 9 + np.arange(n) % 7
+    tracemalloc.start()
+    try:
+        report = forecast_report(pred, real, flow, hours)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["chou_chu"].n == n and len(report["hourly"]) == 7
+    assert peak < 16 * 2**20
