@@ -52,10 +52,6 @@ class TraderLeadLagAdjacency:
     traders: list
     matrix: np.ndarray  # boolean (n, n); [i, j] means i's group leads j's group
 
-    def edge_set(self) -> set:
-        ii, jj = np.nonzero(self.matrix)
-        return {(self.traders[a], self.traders[b]) for a, b in zip(ii, jj)}
-
 
 def aggregate_groups(matrix: StateMatrix, partition: dict, rho0: float = 0.01) -> GroupStateSeries:
     """Aggregate trader volumes to group level and classify group states.

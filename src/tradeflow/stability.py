@@ -1,14 +1,16 @@
 """Label propagation across re-clusterings and stability measures.
 
-Group labels are propagated from one clustering to the next by maximal
-normalized overlap, partition agreement is scored with the adjusted Rand
-index, and trader-level lead-lag persistence with the conserved-link
-fraction beta.
+Two partitions are compared through one table: ``_contingency`` counts the
+elements both hold per pair of labels.  Group labels are propagated from one
+clustering to the next by maximal normalized overlap read from that table,
+partition agreement is scored with the adjusted Rand index of the same
+table, the river chart lists its entries, and trader-level lead-lag
+persistence is measured with the conserved-link fraction beta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -17,62 +19,41 @@ import numpy as np
 from .leadlag import TraderLeadLagAdjacency
 
 
-@dataclass(frozen=True)
-class OverlapScore:
-    oa: int  # |g & g'|
-    op: float  # |g & g'| / |g | g'|
-
-
-def overlap(prev_members: set, new_members: set) -> OverlapScore:
-    inter = len(prev_members & new_members)
-    union = len(prev_members | new_members)
-    return OverlapScore(oa=inter, op=inter / union if union else 0.0)
+def _contingency(p: dict, q: dict) -> Counter:
+    """``{(label in p, label in q): count}`` over the elements both hold, in ``p``'s order."""
+    return Counter((a, q[el]) for el, a in p.items() if el in q)
 
 
 def relabel_partition(previous: dict, new_raw: dict, next_fresh: int):
     """Propagate previous group labels onto a new raw partition.
 
     Each previous label goes to the new cluster with maximal normalized
-    overlap; matching is greedy in decreasing overlap (ties broken by larger
-    absolute overlap, then smaller previous label) and one-to-one.  Unmatched
-    new clusters receive fresh labels from ``next_fresh`` on, in label order.
+    overlap OP = OA / (|g| + |g'| - OA), where the absolute overlap OA is the
+    number of traders the previous group g and the new cluster g' share;
+    matching is greedy in decreasing OP (ties broken by larger OA, then
+    smaller previous label) and one-to-one.  Unmatched new clusters receive
+    fresh labels from ``next_fresh`` on, in label order.
     Returns ``(labeled, next_fresh)`` with the next label still unused.
     """
-    prev_groups = {}
-    for t, g in previous.items():
-        prev_groups.setdefault(g, set()).add(t)
-    new_groups = {}
-    for t, g in new_raw.items():
-        new_groups.setdefault(g, set()).add(t)
+    prev_size, new_size = Counter(previous.values()), Counter(new_raw.values())
 
-    scored = []
-    for pg, pmem in prev_groups.items():
-        for ng, nmem in new_groups.items():
-            s = overlap(pmem, nmem)
-            if s.oa > 0:
-                scored.append((s.op, s.oa, pg, ng))
-    # decreasing OP, then decreasing OA, then smaller previous label
-    scored.sort(key=lambda r: (-r[0], -r[1], _label_key(r[2]), _label_key(r[3])))
+    def rank(item):
+        (pg, ng), oa = item
+        return -oa / (prev_size[pg] + new_size[ng] - oa), -oa, _label_key(pg), _label_key(ng)
 
     inherited = {}
-    used_prev, used_new = set(), set()
-    for op, oa, pg, ng in scored:
-        if pg in used_prev or ng in used_new:
+    used_prev = set()
+    for (pg, ng), _ in sorted(_contingency(previous, new_raw).items(), key=rank):
+        if pg in used_prev or ng in inherited:
             continue
         inherited[ng] = pg
         used_prev.add(pg)
-        used_new.add(ng)
 
-    labeled = {}
-    fresh = {}
-    for ng in sorted(new_groups, key=_label_key):
-        if ng in inherited:
-            continue
-        fresh[ng] = next_fresh
-        next_fresh += 1
-    for t, g in new_raw.items():
-        labeled[t] = inherited.get(g, fresh.get(g))
-    return labeled, next_fresh
+    for ng in sorted(new_size, key=_label_key):
+        if ng not in inherited:
+            inherited[ng] = next_fresh
+            next_fresh += 1
+    return {t: inherited[g] for t, g in new_raw.items()}, next_fresh
 
 
 def _label_key(g):
@@ -87,20 +68,12 @@ def adjusted_rand_index(p: dict, q: dict) -> float:
     """
     if set(p) != set(q):
         raise ValueError("partitions must cover the same element set")
-    elements = list(p)
-    n = len(elements)
+    n = len(p)
     if n == 0:
         raise ValueError("empty partitions")
-    table = {}
-    row_tot, col_tot = {}, {}
-    for el in elements:
-        a, b = p[el], q[el]
-        table[(a, b)] = table.get((a, b), 0) + 1
-        row_tot[a] = row_tot.get(a, 0) + 1
-        col_tot[b] = col_tot.get(b, 0) + 1
-    sum_comb = sum(comb(v, 2) for v in table.values())
-    sum_rows = sum(comb(v, 2) for v in row_tot.values())
-    sum_cols = sum(comb(v, 2) for v in col_tot.values())
+    sum_comb = sum(comb(v, 2) for v in _contingency(p, q).values())
+    sum_rows = sum(comb(v, 2) for v in Counter(p.values()).values())
+    sum_cols = sum(comb(v, 2) for v in Counter(q.values()).values())
     total = comb(n, 2)
     # exact rational arithmetic so pinned values like -1/2 come out bit-exact
     expected = Fraction(sum_rows * sum_cols, total) if total else Fraction(0)
@@ -141,13 +114,7 @@ def export_river(labeled_partitions: list):
         raise ValueError("need at least 2 consecutive labeled partitions")
     rows = []
     for t in range(1, len(labeled_partitions)):
-        prev, cur = labeled_partitions[t - 1], labeled_partitions[t]
-        counts = {}
-        for trader, g in prev.items():
-            g2 = cur.get(trader)
-            if g2 is None:
-                continue
-            counts[(g, g2)] = counts.get((g, g2), 0) + 1
-        for (g, g2), c in sorted(counts.items(), key=lambda kv: (_label_key(kv[0][0]), _label_key(kv[0][1]))):
+        table = _contingency(labeled_partitions[t - 1], labeled_partitions[t])
+        for (g, g2), c in sorted(table.items(), key=lambda kv: (_label_key(kv[0][0]), _label_key(kv[0][1]))):
             rows.append((t, g, g2, c))
     return rows

@@ -216,6 +216,35 @@ def test_stability_command(pipeline_run, cfg_path, tmp_path):
     }
 
 
+def test_stability_command_on_churning_partitions(tmp_path):
+    # the market above keeps every ARI and beta at 1.0; this one makes the
+    # relabelling, the ARI and the river all do real work
+    cfg = tmp_path / "churn.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "seed": 1, "stability_window": 10, "stability_step": 3, "min_trades": 15,
+        "market": {"group_sizes": [4] * 8, "n_noise_traders": 10, "sync_fidelity": 0.65, "member_rate": 2.0,
+                   "n_weekdays": 35, "leadlag_edges": [{"leader": 0, "follower": 1}, {"leader": 2, "follower": 3}],
+                   "copy_fidelity": 0.9},
+    }))
+    d, stab = tmp_path / "market", tmp_path / "stab"
+    assert main(["synth", "--config", str(cfg), "--out", str(d)]) == 0
+    assert main(["ingest", "--config", str(cfg), "--trades", str(d / "trades.csv"), "--out", str(d)]) == 0
+    assert main(["stability", "--config", str(cfg), "--states", str(d), "--out", str(stab)]) == 0
+    assert {p.name: _sha256(p) for p in stab.iterdir()} == {
+        "ari.csv": "0dded173d77164b2a4f1933d6d167bb7af71fc8c97016b2e604edfc4c1208a9b",
+        "beta.csv": "af2c4730bdd3425a8036029ba219b4127b52e1680321b82b7f099049ff564f98",
+        "partition_latest.csv": "d64f39717366a7075a9328d5bfb5bd5e62a27c70417e8447f4dcc16dd9d4e8ae",
+        "river.csv": "a500642a5720d6a41510fbbb8ce845df20e99751fbd61af95a7766f1f168b56f",
+    }
+    ari = [float(row.split(",")[1]) for row in (stab / "ari.csv").read_text().splitlines()[1:]]
+    assert len(ari) == 8 and sum(v < 1.0 for v in ari) == 4
+    assert {row.split(",")[1] for row in (stab / "beta.csv").read_text().splitlines()[1:]} == {"1.0", "0.0", ""}
+    river = [tuple(map(int, row.split(","))) for row in (stab / "river.csv").read_text().splitlines()[1:]]
+    assert max(to for _, _, to, _ in river) == 14  # fresh labels from 9 on
+    assert {(2, 3, 3, 2), (2, 3, 9, 1)} <= set(river)  # group 3 splits
+    assert {(2, 8, 5, 2), (2, 5, 5, 2)} <= set(river)  # groups 8 and 5 merge
+
+
 # runs every stage in a fresh interpreter, then the whole pipeline, noting after each whether scipy.stats is loaded
 _STAGES_SCRIPT = """
 import json, sys
@@ -406,6 +435,7 @@ def test_readme_config_block_loads(tmp_path):
     (tmp_path / "config.yaml").write_text(block)
     cfg = RunConfig.load(str(tmp_path / "config.yaml"))  # refuses unknown keys and values
     assert (cfg.instrument, cfg.n_trees, cfg.window_lengths[-1]) == ("EURUSD", 500, 90)
+    assert set(yaml.safe_load(block)) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_synth_command_is_pinned(tmp_path):

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +11,8 @@ from tradeflow.stability import (
     adjusted_rand_index,
     export_river,
     leadlag_overlap_beta,
-    overlap,
     relabel_partition,
 )
-
-
-def test_overlap_scores():
-    s = overlap({"a", "b", "c"}, {"b", "c", "d"})
-    assert s.oa == 2
-    assert s.op == pytest.approx(2 / 4)
-    assert overlap(set(), set()).op == 0.0
 
 
 def test_relabel_inherits_by_max_overlap():
@@ -38,12 +33,16 @@ def test_relabel_unmatched_gets_fresh_label():
 
 
 def test_relabel_tie_breaks_by_larger_absolute_overlap():
-    # both new clusters have OP 1/2 vs prev group 1; the larger one wins
     prev = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 1}
     raw = {"a": 10, "b": 10, "c": 10, "d": 20, "e": 21, "f": 22}
     # overlaps vs group 1: cluster 10 has OA 3 OP 3/6, others OA 1 OP 1/6
     labeled, _ = relabel_partition(prev, raw, next_fresh=2)
     assert labeled["a"] == 1
+    # cluster 10 vs group 2: OA 2, OP 2/(5+3-2); vs group 1: OA 1, OP 1/(1+3-1).
+    # The OPs tie, and the larger OA wins over the smaller label
+    prev = {"a": 2, "b": 2, "p": 2, "q": 2, "r": 2, "c": 1}
+    labeled, nxt = relabel_partition(prev, {"a": 10, "b": 10, "c": 10}, next_fresh=3)
+    assert labeled == {"a": 2, "b": 2, "c": 2} and nxt == 3
 
 
 def test_relabel_is_one_to_one():
@@ -138,3 +137,111 @@ def test_river_transition_counts():
 def test_river_needs_two_partitions():
     with pytest.raises(ValueError):
         export_river([{"a": 1}])
+
+
+# Set-based reference implementations: each counts the shared traders on its
+# own, as the three functions did before they read one contingency table.
+def _reference_label_key(g):
+    return (0, g) if isinstance(g, (int, np.integer)) else (1, str(g))
+
+
+def _reference_relabel(previous, new_raw, next_fresh):
+    prev_groups, new_groups = {}, {}
+    for t, g in previous.items():
+        prev_groups.setdefault(g, set()).add(t)
+    for t, g in new_raw.items():
+        new_groups.setdefault(g, set()).add(t)
+    scored = []
+    for pg, pmem in prev_groups.items():
+        for ng, nmem in new_groups.items():
+            inter, union = len(pmem & nmem), len(pmem | nmem)
+            if inter > 0:
+                scored.append((inter / union, inter, pg, ng))
+    scored.sort(key=lambda r: (-r[0], -r[1], _reference_label_key(r[2]), _reference_label_key(r[3])))
+    inherited, used_prev, used_new = {}, set(), set()
+    for _, _, pg, ng in scored:
+        if pg in used_prev or ng in used_new:
+            continue
+        inherited[ng] = pg
+        used_prev.add(pg)
+        used_new.add(ng)
+    fresh = {}
+    for ng in sorted(new_groups, key=_reference_label_key):
+        if ng not in inherited:
+            fresh[ng] = next_fresh
+            next_fresh += 1
+    return {t: inherited.get(g, fresh.get(g)) for t, g in new_raw.items()}, next_fresh
+
+
+def _reference_ari(p, q):
+    table, row_tot, col_tot = {}, {}, {}
+    for el in p:
+        a, b = p[el], q[el]
+        table[(a, b)] = table.get((a, b), 0) + 1
+        row_tot[a] = row_tot.get(a, 0) + 1
+        col_tot[b] = col_tot.get(b, 0) + 1
+    sum_comb = sum(comb(v, 2) for v in table.values())
+    sum_rows = sum(comb(v, 2) for v in row_tot.values())
+    sum_cols = sum(comb(v, 2) for v in col_tot.values())
+    total = comb(len(p), 2)
+    expected = Fraction(sum_rows * sum_cols, total) if total else Fraction(0)
+    max_index = Fraction(sum_rows + sum_cols, 2)
+    if max_index == expected:
+        return 1.0
+    return float((sum_comb - expected) / (max_index - expected))
+
+
+def _reference_river(labeled_partitions):
+    rows = []
+    for t in range(1, len(labeled_partitions)):
+        prev, cur = labeled_partitions[t - 1], labeled_partitions[t]
+        counts = {}
+        for trader, g in prev.items():
+            g2 = cur.get(trader)
+            if g2 is None:
+                continue
+            counts[(g, g2)] = counts.get((g, g2), 0) + 1
+        for (g, g2), c in sorted(counts.items(),
+                                 key=lambda kv: (_reference_label_key(kv[0][0]), _reference_label_key(kv[0][1]))):
+            rows.append((t, g, g2, c))
+    return rows
+
+
+# a few labels over one small pool of traders, each partition holding a random
+# subset in its own order: partial and disjoint trader sets, empty partitions,
+# and OP and OA ties are all common
+_labels = st.sampled_from([1, 2, 3, "x", "7"])
+
+
+@st.composite
+def _partitions(draw, min_size, max_size):
+    pool = draw(st.lists(st.one_of(st.integers(min_value=0, max_value=7), st.sampled_from("abcdefgh")),
+                         unique=True, max_size=12))
+    partitions = []
+    for _ in range(draw(st.integers(min_value=min_size, max_value=max_size))):
+        order = draw(st.permutations(pool))
+        partitions.append({t: draw(_labels) for t in order if draw(st.booleans())})
+    return partitions
+
+
+@given(pair=_partitions(2, 2), next_fresh=st.integers(min_value=1, max_value=20))
+@settings(max_examples=300)
+def test_relabel_equals_set_based_reference(pair, next_fresh):
+    previous, new_raw = pair
+    assert relabel_partition(previous, new_raw, next_fresh) == _reference_relabel(previous, new_raw, next_fresh)
+
+
+@given(pair=_partitions(2, 2))
+@settings(max_examples=300)
+def test_ari_equals_reference_bit_for_bit(pair):
+    common = [t for t in pair[0] if t in pair[1]]
+    if common:
+        p = {t: pair[0][t] for t in common}
+        q = {t: pair[1][t] for t in common}
+        assert adjusted_rand_index(p, q) == _reference_ari(p, q)
+
+
+@given(partitions=_partitions(2, 4))
+@settings(max_examples=300)
+def test_river_equals_reference_in_order(partitions):
+    assert export_river(partitions) == _reference_river(partitions)
