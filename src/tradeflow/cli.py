@@ -276,7 +276,7 @@ def cmd_stability(args):
         # detect_communities labels 1..k, so the first window keeps its own labels
         lab, next_fresh = relabel_partition(labeled[-1] if labeled else {}, raw, next_fresh)
         series = aggregate_groups(window, lab, cfg.rho0) if lab else None
-        adjacency.append(expand_trader_leadlag(build_leadlag(series, FdrConfig(cfg.p0)), lab) if series else None)
+        adjacency.append(expand_trader_leadlag(build_leadlag(series, FdrConfig(cfg.p0)), lab) if lab else None)
         labeled.append(lab)
         ends.append(t1 - 1)
     out = Path(args.out)

@@ -356,8 +356,6 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
     A component of two nodes of equal strength is searched once: its two
     nodes score the same move, so every restart returns the same result.
     """
-    if graph.n_nodes == 0:
-        return {}
     _check_links(graph)
     strengths = [graph.strength(k) for k in range(graph.n_nodes)]
     w2 = sum(strengths)
@@ -366,7 +364,7 @@ def detect_communities(graph: WeightedGraph, seed: int = 0, n_restarts: int = 10
     for comp in graph.components():
         local = {g: k for k, g in enumerate(comp)}
         adj = [{local[nbr]: w for nbr, w in graph.adj[g].items()} for g in comp]
-        if w2 == 0 or len(comp) == 1:
+        if len(comp) == 1:
             best = [0] * len(comp)
         else:
             comp_strengths = [strengths[g] for g in comp]

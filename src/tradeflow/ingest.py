@@ -92,8 +92,7 @@ class TimeGrid:
     def contiguous_with_previous(self) -> np.ndarray:
         """Boolean mask: slice t follows slice t-1 with no session gap."""
         ok = np.zeros(len(self), dtype=bool)
-        if len(self) > 1:
-            ok[1:] = self.ends[:-1] == self.starts[1:]
+        ok[1:] = self.ends[:-1] == self.starts[1:]
         return ok
 
     def window(self, t0: int, t1: int) -> "TimeGrid":

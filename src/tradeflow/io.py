@@ -89,8 +89,12 @@ class ParseError(ValueError):
     """Raised when the input stream is unusable as a whole."""
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
 def _parse_timestamp(text: str) -> int:
-    """Accept epoch milliseconds or ISO-8601; return epoch milliseconds."""
+    """Accept epoch milliseconds or ISO-8601, a time without a zone being UTC;
+    return epoch milliseconds, exactly, rounding down below the millisecond."""
     text = text.strip()
     try:
         ms = int(text)
@@ -98,7 +102,7 @@ def _parse_timestamp(text: str) -> int:
         dt = datetime.fromisoformat(text)
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-        ms = int(dt.timestamp() * 1000)
+        ms = (dt - _EPOCH) // timedelta(milliseconds=1)
     if not -(2**63) <= ms < 2**63:
         raise ValueError(f"timestamp {text!r} is out of the int64 millisecond range")
     return ms

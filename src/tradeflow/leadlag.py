@@ -78,8 +78,7 @@ def aggregate_groups(matrix: StateMatrix, partition: dict, rho0: float = 0.01) -
 
 def _lag_pairs(grid) -> np.ndarray:
     """Indices t such that (t, t+1) does not straddle a session gap."""
-    contiguous = grid.contiguous_with_previous()
-    return np.flatnonzero(contiguous[1:] if len(contiguous) else contiguous)
+    return np.flatnonzero(grid.contiguous_with_previous()[1:])
 
 
 def build_leadlag(series: GroupStateSeries, config: FdrConfig = FdrConfig()) -> LeadLagNetwork:
@@ -121,8 +120,6 @@ def expand_trader_leadlag(network: LeadLagNetwork, partition: dict) -> TraderLea
         members.setdefault(g, []).append(index[t])
     lam = np.zeros((len(traders), len(traders)), dtype=bool)
     for g, g2 in group_leads:
-        src = members.get(g, [])
-        dst = members.get(g2, [])
-        if src and dst:
-            lam[np.ix_(src, dst)] = True
+        # np.ix_ casts an empty list to intp, so a group no trader belongs to sets nothing
+        lam[np.ix_(members.get(g, []), members.get(g2, []))] = True
     return TraderLeadLagAdjacency(traders=traders, matrix=lam)

@@ -59,6 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_TRAIN_ROWS = 50  # fewest training rows a forest is grown on
+
 
 @dataclass(frozen=True)
 class ForestConfig:
@@ -93,12 +95,16 @@ class ForestModel:
     levels: list  # per-column sorted level values
     trees: Trees
     oob_indices: list
-    degenerate: bool = False
     n_rows: int = 0
 
     @property
     def n_features(self) -> int:
         return len(self.levels)
+
+    @property
+    def degenerate(self) -> bool:
+        """True when the target had one class: every tree is one leaf voting for it."""
+        return len(self.classes) == 1
 
 
 def _encode(X, levels=None):
@@ -348,8 +354,8 @@ def train_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> 
     """Train a random forest on categorical features.
 
     Trees bootstrap rows with replacement; each tree is reproducible from
-    (seed, tree index).  A single-class target yields a degenerate model
-    with no trees that always predicts that class (flagged, not fatal).
+    (seed, tree index).  A single-class target grows ``n_trees`` one-leaf
+    trees, each voting for that class (the model is flagged `degenerate`).
     """
     X = np.asarray(X)
     y = np.asarray(y)
@@ -357,13 +363,12 @@ def train_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> 
         raise ValueError(f"X must be 2-D with at least one column, got shape {X.shape}")
     if len(y) != len(X):
         raise ValueError(f"X has {len(X)} rows but y has {len(y)} labels")
-    if len(X) < 50:
-        raise ValueError(f"need at least 50 rows, got {len(X)}")
+    if len(X) < MIN_TRAIN_ROWS:
+        raise ValueError(f"need at least {MIN_TRAIN_ROWS} rows, got {len(X)}")
     classes = np.unique(y)
     Xenc, levels = _encode(X)
     n = len(X)
-    degenerate = len(classes) == 1
-    rngs = [np.random.default_rng([seed, t]) for t in range(0 if degenerate else config.n_trees)]
+    rngs = [np.random.default_rng([seed, t]) for t in range(config.n_trees)]
     boots = [rng.integers(0, n, size=n) for rng in rngs]
     n_levels = np.array([len(lv) for lv in levels])
     trees = _grow_forest(
@@ -374,7 +379,6 @@ def train_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> 
         levels=levels,
         trees=trees,
         oob_indices=[np.flatnonzero(np.bincount(boot, minlength=n) == 0) for boot in boots],
-        degenerate=degenerate,
         n_rows=n,
     )
 
@@ -384,10 +388,6 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X))
     if X.shape[1] != model.n_features:
         raise ValueError(f"row has {X.shape[1]} features, model expects {model.n_features}")
-    if model.degenerate:
-        votes = np.zeros((len(X), len(model.classes)))
-        votes[:, 0] = 1.0
-        return votes
     Xenc, _ = _encode(X, model.levels)
     T, C = len(model.trees), len(model.classes)
     rows = np.repeat(np.arange(len(X)), T)
@@ -424,11 +424,8 @@ def _oob_votes(model: ForestModel, X) -> np.ndarray:
 
 def oob_accuracy(model: ForestModel, X, y) -> float:
     """Share of rows whose OOB class is right, over the rows with at least one
-    OOB vote (Breiman 2001); a degenerate model scores its class on every row.
-    X and y must be the training set."""
+    OOB vote (Breiman 2001).  X and y must be the training set."""
     X, y = _training_set(model, X, y)
-    if model.degenerate:
-        return float(np.mean(y == model.classes[0]))
     votes = _oob_votes(model, X)
     seen = votes.sum(axis=1) > 0
     if not seen.any():
@@ -455,8 +452,6 @@ def permutation_importance(model: ForestModel, X, y, seed: int = 0) -> Importanc
     """
     X, y = _training_set(model, X, y)
     K = X.shape[1]
-    if model.degenerate:
-        return ImportanceReport(importance=np.zeros(K), ranks=np.arange(1, K + 1))
     Xenc, _ = _encode(X, model.levels)
     ycls = np.searchsorted(model.classes, y)
     deltas = np.zeros(K)

@@ -19,7 +19,7 @@ import numpy as np
 from .community import detect_communities, project_weighted
 from .ingest import StateMatrix, filter_active
 from .leadlag import aggregate_groups
-from .learn import ForestConfig, forest_predict_batch, train_forest
+from .learn import MIN_TRAIN_ROWS, ForestConfig, forest_predict_batch, train_forest
 from .svn import FdrConfig, build_svn
 
 DEFAULT_WINDOWS = tuple(range(45, 91, 5))
@@ -169,7 +169,7 @@ def _calibrate(matrix, t0, t1, t_end, target, cfg, rng_seed):
     y = target[predicts[train]]
     finite = ~np.isnan(y)
     X_train, y = X[train][finite], y[finite].astype(np.int64)
-    if len(X_train) < 50:
+    if len(X_train) < MIN_TRAIN_ROWS:
         return _Calibration(None, {})
     model = train_forest(X_train, y, cfg["forest"], seed=rng_seed)
     ahead = ~train & (predicts < t_end)

@@ -90,8 +90,6 @@ def leadlag_overlap_beta(first: TraderLeadLagAdjacency, second: TraderLeadLagAdj
     the first adjacency has no links over the common traders.
     """
     common = sorted(set(first.traders) & set(second.traders), key=str)
-    if not common:
-        return None
     pos_a = {t: k for k, t in enumerate(first.traders)}
     pos_b = {t: k for k, t in enumerate(second.traders)}
     ia = [pos_a[t] for t in common]

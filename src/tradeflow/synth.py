@@ -29,12 +29,12 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import TimeGrid, Trades, build_grid, encode_ids
+from .ingest import STATE_BUY, STATE_NEUTRAL, STATE_SELL, TimeGrid, Trades, build_grid, encode_ids
 
 ROUND_SIZES = np.array([1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 50, 100], dtype=np.float64)
 ROUND_WEIGHTS = np.array([0.10, 0.08, 0.04, 0.03, 0.08, 0.02, 0.22, 0.03, 0.16, 0.03, 0.14, 0.07])
 ROUND_WEIGHTS = ROUND_WEIGHTS / ROUND_WEIGHTS.sum()
-_STATES = np.array([-1, 1, 2], dtype=np.int8)  # sell, buy, neutral
+_STATES = np.array([STATE_SELL, STATE_BUY, STATE_NEUTRAL], dtype=np.int8)
 
 
 def _is_integer(x) -> bool:
@@ -155,7 +155,7 @@ def _draw_cells(rng, code, k_per_slice, states, spans, draws):
     normal, integers, random = rng.normal, rng.integers, rng.random
     for n, s, span in zip(k.tolist(), state.tolist(), spans[t].tolist()):
         normals.append(normal(size=max(n, 2)))
-        neutral = s == 2
+        neutral = s == STATE_NEUTRAL
         if neutral:
             n = max(n, 2)
         stamps.append(integers(0, span, size=n))
@@ -173,7 +173,7 @@ def _assemble(grid, mid, cells, draws):
     """
     code, t, k, state = (np.concatenate(column) for column in zip(*cells))
     normals, stamps, uniforms = (np.concatenate(column) for column in draws)
-    neutral = state == 2
+    neutral = state == STATE_NEUTRAL
     n = np.where(neutral, np.maximum(k, 2), k)  # trades per cell
     cell = np.repeat(np.arange(len(n)), n)
     spare = np.maximum(k, 2) - n  # normals drawn but not used: 1 in a directional cell of one trade
@@ -183,7 +183,7 @@ def _assemble(grid, mid, cells, draws):
     sizes = _pick(_TRADE_SIZES, _ROUND_CDF, uniforms)
     volume = np.empty(len(cell))
     # a size lands after its cell's buy and after the buys of the neutral cells before it
-    volume[np.arange(len(sizes)) + np.cumsum(neutral)[size_cell]] = np.where(neutral, -1, state)[size_cell] * sizes
+    volume[np.arange(len(sizes)) + np.cumsum(neutral)[size_cell]] = np.where(neutral, STATE_SELL, state)[size_cell] * sizes
     volume[(np.cumsum(n) - n)[neutral]] = np.bincount(size_cell, weights=sizes, minlength=len(n))[neutral]
     return np.repeat(code, n), ts, volume, price
 
@@ -210,20 +210,20 @@ def generate_market(spec: MarketSpec):
         for g, edge in followers.items():
             if rng.random() < spec.copy_fidelity:
                 prev = intended[edge.leader, t - 1]
-                if edge.invert and prev != 2:
+                if edge.invert and prev != STATE_NEUTRAL:
                     prev = -prev
                 intended[g, t] = prev
 
     # price path driven by the planted lagged flow
     weights = np.asarray(spec.group_sizes, dtype=np.float64)
     if n_groups:
-        directional = np.where(np.abs(intended) == 1, intended, 0).astype(np.float64)
+        directional = np.where(intended == STATE_NEUTRAL, 0, intended).astype(np.float64)
         flow = (weights @ directional) / weights.sum()
     else:
         flow = np.zeros(T)
     mid = np.empty(T)
     mid[0] = spec.base_price
-    shocks = rng.normal(size=T - 1) if T > 1 else np.empty(0)
+    shocks = rng.normal(size=T - 1)
     for t in range(1, T):
         mid[t] = mid[t - 1] * (1.0 + spec.kappa * flow[t - 1] + spec.price_noise * shocks[t - 1])
 

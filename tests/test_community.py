@@ -498,6 +498,15 @@ def test_detect_empty_graph():
     assert detect_communities(WeightedGraph(nodes=[], adj=[]), seed=0) == {}
 
 
+def test_detect_isolated_nodes_each_form_a_group():
+    # no node has a link, so every component is one node and gets its own label
+    g = WeightedGraph(nodes=["c", "a", "b"], adj=[{}, {}, {}])
+    assert detect_communities(g, seed=0) == {"c": 1, "a": 2, "b": 3}
+    # an isolated node among linked ones still gets its own label, in node order
+    g = WeightedGraph(nodes=["x", "y", "z"], adj=[{}, {2: 1}, {1: 1}])
+    assert detect_communities(g, seed=0) == {"x": 1, "y": 2, "z": 2}
+
+
 @pytest.mark.parametrize(
     "adj",
     [[{1: 2}, {}, {0: 1}], [{1: 2}, {0: 3}], [{1: 2}, {0: 2, 2: 1}, {}], [{3: 1}, {}],

@@ -139,6 +139,27 @@ def test_expand_empty_network():
     assert _trader_pairs(lam) == set()
 
 
+def test_expand_edge_to_a_group_outside_the_partition():
+    from tradeflow.leadlag import LEADLAG_EDGE, LeadLagNetwork
+
+    # group 3 leads and is led, but no trader of the partition belongs to it
+    edges = np.array([(1, 2, 1, 1, 10, 1e-6), (3, 1, 1, 1, 10, 1e-6), (2, 3, -1, 1, 10, 1e-6)], dtype=LEADLAG_EDGE)
+    net = LeadLagNetwork(groups=[1, 2, 3], edges=edges, threshold=1e-6, n_tests=81, p0=0.05, n_pairs=100)
+    lam = expand_trader_leadlag(net, {"a": 1, "b": 2, "c": 2})
+    assert lam.traders == ["a", "b", "c"]
+    assert _trader_pairs(lam) == {("a", "b"), ("a", "c")}
+
+
+@pytest.mark.parametrize("n_slices", [0, 1])
+def test_lag_pairs_of_a_grid_too_short_for_a_pair(n_slices):
+    from tradeflow.leadlag import _lag_pairs
+
+    grid = build_grid("2024-01-01", "2024-01-03").window(0, n_slices)
+    assert grid.contiguous_with_previous().tolist() == [False] * n_slices
+    pairs = _lag_pairs(grid)
+    assert pairs.tolist() == [] and pairs.dtype == np.intp
+
+
 def test_null_leadlag_rarely_validates():
     hits = 0
     for seed in range(20):

@@ -483,11 +483,30 @@ def test_forest_single_class_degenerates_gracefully():
     assert model.degenerate
     assert forest_predict_batch(model, X[:1]).tolist() == [1]
     assert forest_votes(model, X[:1]).tolist() == [[1.0]]
+    # every row votes, scores and ranks as the one class
+    assert forest_votes(model, X).tolist() == [[1.0]] * 60
+    assert oob_accuracy(model, X, np.ones(60)) == 1.0
+    report = permutation_importance(model, X, np.ones(60), seed=5)
+    assert report.importance.tolist() == [0.0] * 3
+    assert report.ranks.tolist() == [1, 2, 3]
+
+
+def test_one_class_forest_grows_one_leaf_trees():
+    X = np.random.default_rng(4).choice([-1, 1, 2], size=(70, 4))
+    model = train_forest(X, np.full(len(X), 2), ForestConfig(n_trees=7), seed=3)
+    assert len(model.trees) == 7
+    assert model.trees.start.tolist() == list(range(8))
+    assert model.trees.feature.tolist() == [-1] * 7
+    assert model.trees.counts.tolist() == [[70]] * 7
+    assert [len(oob) for oob in model.oob_indices] == [
+        np.sum(np.bincount(np.random.default_rng([3, t]).integers(0, 70, size=70), minlength=70) == 0)
+        for t in range(7)
+    ]
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_forest_votes_refuse_rows_of_another_width(degenerate):
-    # a degenerate model, which has no tree to read the columns, still checks them
+    # a degenerate model, whose one-leaf trees read no column, still checks them
     X, y = _single_informative(n=60, n_noise=2)
     model = train_forest(X, np.ones(len(X)) if degenerate else y, ForestConfig(n_trees=5))
     assert model.degenerate == degenerate

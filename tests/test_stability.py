@@ -119,6 +119,9 @@ def test_beta_absent_without_links_or_common_traders():
     assert leadlag_overlap_beta(empty, linked) is None
     other = _adj(["x", "y"], [("x", "y")])
     assert leadlag_overlap_beta(linked, other) is None
+    nobody = _adj([], [])
+    assert leadlag_overlap_beta(linked, nobody) is None
+    assert leadlag_overlap_beta(nobody, linked) is None
 
 
 def test_beta_restricts_to_common_traders():
