@@ -42,7 +42,7 @@ from .ingest import (
 from .io import parse_trades
 from .leadlag import LEADLAG_EDGE, LeadLagNetwork, aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import ForestConfig
-from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecast
+from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecasts
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
 from .svn import MIN_WINDOW_SLICES, FdrConfig, ValidatedNetwork, build_svn
 from .synth import MarketSpec, PlantedEdge, generate_market
@@ -299,13 +299,13 @@ def cmd_stability(args):
 
 
 def forecast_stage(cfg: RunConfig, matrix, trades, out: Path):
-    """Flow forecasts, plus VWAP forecasts when ``trades`` is not None."""
-    targets = ["flow"] + (["vwap"] if trades is not None else [])
-    for kind in targets:
-        records, skipped = rolling_forecast(
-            matrix, cfg.schedule(), target_kind=kind, seed=cfg.seed, trades=trades, rho0=cfg.rho0, p0=cfg.p0,
-            top_n=cfg.top_n, min_trades=cfg.min_trades, lag_depth=cfg.lag_depth, forest_config=cfg.forest(),
-        )
+    """Flow forecasts, plus VWAP forecasts when ``trades`` is not None; each calibration's groups are inferred once."""
+    targets = ("flow",) + (("vwap",) if trades is not None else ())
+    results = rolling_forecasts(
+        matrix, cfg.schedule(), target_kinds=targets, seed=cfg.seed, trades=trades, rho0=cfg.rho0, p0=cfg.p0,
+        top_n=cfg.top_n, min_trades=cfg.min_trades, lag_depth=cfg.lag_depth, forest_config=cfg.forest(),
+    )
+    for kind, (records, skipped) in results.items():
         tfio.write_forecasts(out / f"forecasts_{kind}.csv", records)
         print(f"forecast[{kind}]: {len(records)} slices, {len(skipped)} days without history -> {out}")
 

@@ -8,7 +8,9 @@ document through ``write_json``, and each creates the directory it writes
 into.  Each reader sits next to its writer.
 
 The state matrix is written and parsed column-wise: one ``np.loadtxt`` pass
-per CSV.  An edge file's header is its network's edge dtype (``svn.SVN_EDGE``,
+per CSV.  A trades file whose every row is clean is parsed column-wise too, in
+chunks of lines; any other is parsed row by row, which reports each reject.
+An edge file's header is its network's edge dtype (``svn.SVN_EDGE``,
 ``leadlag.LEADLAG_EDGE``).  Readers refuse malformed input with a ``ValueError``
 naming the file and line: a header other than the writer's (``states.csv``
 aside), a row that does not parse, a trader listed twice in a partition, a
@@ -27,7 +29,8 @@ import json
 import math
 from array import array
 from datetime import datetime, time, timedelta, timezone
-from io import StringIO
+from io import IOBase, StringIO
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,9 @@ from .leadlag import LEADLAG_EDGE
 from .svn import SVN_EDGE, ValidatedNetwork, edge_nodes
 
 TRADE_FIELDS = ("trader_id", "timestamp", "instrument", "signed_volume", "price")
+_TRADE_TYPES = {"trader_id": object, "timestamp": np.int64, "instrument": object, "signed_volume": np.float64,
+                "price": np.float64}
+_PARSE_CHUNK = 1 << 12  # lines per np.loadtxt call of the column-wise trade parse: its memory stays the loop's
 _VOLUME_COLUMNS = np.dtype([("trader_id", object), ("slice_index", np.int64), ("net_volume", np.float64),
                             ("gross_volume", np.float64), ("n_trades", np.int64)])  # states_volumes.csv
 _PARTITION_COLUMNS = np.dtype([("trader_id", object), ("group_label", np.int64)])
@@ -119,8 +125,19 @@ def _records(fh):
         line = reader.line_num + 1
 
 
+def _loadtxt(source, dtype, usecols=None, ndmin=1):
+    """``np.loadtxt`` of comma-separated fields, double-quoted where needed as ``csv`` quotes them, no comments."""
+    return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=ndmin)
+
+
 def parse_trades(stream, max_reject_fraction: float = 0.10):
     """Parse a CSV trade stream.
+
+    A seekable stream whose every row is clean (epoch-ms timestamp, volume
+    non-zero and finite, price positive and finite, trader id not blank) is
+    parsed column-wise, ``_PARSE_CHUNK`` lines per ``np.loadtxt`` call.  Any
+    other stream is parsed row by row, from where it started; that loop
+    reports every reject with its line, and both give the same trades.
 
     Parameters
     ----------
@@ -140,6 +157,68 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
         stream = StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
         stream = StringIO(stream)
+    if isinstance(stream, IOBase) and stream.seekable():
+        start = stream.tell()
+        trades = _parse_clean(stream)
+        if trades is not None:
+            return trades, []
+        stream.seek(start)
+    return _parse_rows(stream, max_reject_fraction)
+
+
+def _parse_clean(stream):
+    """The trades of ``stream`` parsed column-wise, or None unless every row is clean.
+
+    ``np.loadtxt`` accepts a subset of what ``int`` and ``float`` accept, with
+    the same values, so a stream it parses and whose rows all pass the row
+    loop's checks gives the loop's trades.  The header must be one line
+    without quotes.  A quote may appear only in the last chunk of lines: the
+    lines alone do not show whether a chunk ends inside a quoted field.
+    """
+    text = stream.readline().removesuffix("\n").removesuffix("\r")
+    if not text or '"' in text or "\r" in text:
+        return None
+    header = [h.strip() for h in text.split(",")]
+    if set(TRADE_FIELDS) - set(header):
+        return None
+    columns = sorted(TRADE_FIELDS, key=header.index)
+    dtype = np.dtype([(name, _TRADE_TYPES[name]) for name in columns])
+    usecols = [header.index(name) for name in columns]
+    traders, instruments = {}, {}
+    trader, instrument = array("i"), array("i")
+    timestamp, signed_volume, price = array("q"), array("d"), array("d")
+    while lines := list(islice(stream, _PARSE_CHUNK)):
+        if len(lines) == _PARSE_CHUNK and '"' in "".join(lines):
+            return None
+        if all(line in ("\n", "\r\n", "\r") for line in lines):  # blank lines only: loadtxt would warn of no data
+            continue
+        try:
+            rows = _loadtxt(lines, dtype, usecols)
+        except ValueError:
+            return None
+        volume, px = rows["signed_volume"], rows["price"]
+        if not ((volume != 0) & np.isfinite(volume) & (px > 0) & np.isfinite(px)).all():
+            return None
+        _append_codes(rows["trader_id"].tolist(), traders, trader)
+        if "" in traders:
+            return None
+        _append_codes(rows["instrument"].tolist(), instruments, instrument)
+        timestamp.frombytes(rows["timestamp"].tobytes())
+        signed_volume.frombytes(volume.tobytes())
+        price.frombytes(px.tobytes())
+    return _sorted_trades(traders, trader, instruments, instrument, timestamp, signed_volume, price)
+
+
+def _append_codes(ids, table, codes):
+    """Append to ``codes`` the code in ``table`` of each id stripped, adding new ids in order of first appearance."""
+    raw = dict.fromkeys(ids)
+    for s in raw:
+        raw[s] = table.setdefault(s.strip(), len(table))
+    codes.fromlist([raw[s] for s in ids])
+
+
+def _parse_rows(stream, max_reject_fraction):
+    """``parse_trades`` row by row: each malformed row is a reject naming its line."""
     records = _records(stream)
     try:
         _, header = next(records)
@@ -185,12 +264,17 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
             f"{len(rejects)} of {n_rows} rows malformed "
             f"(> {max_reject_fraction:.0%}); first reject: {rejects[0]}"
         )
+    return _sorted_trades(traders, trader, instruments, instrument, timestamp, signed_volume, price), rejects
+
+
+def _sorted_trades(traders, trader, instruments, instrument, timestamp, signed_volume, price) -> Trades:
+    """The parsed columns as :class:`Trades`, ids ``encode_ids``-coded, stably sorted by timestamp."""
     trader_ids, trader = encode_ids(list(traders), trader)
     instrument_ids, instrument = encode_ids(list(instruments), instrument)
     timestamp = np.frombuffer(timestamp, dtype=np.int64)
     trades = Trades(trader_ids, trader, timestamp, instrument_ids, instrument, np.frombuffer(signed_volume),
                     np.frombuffer(price))
-    return trades.take(np.argsort(timestamp, kind="stable")), rejects
+    return trades.take(np.argsort(timestamp, kind="stable"))
 
 
 def write_state_matrix(out_dir, matrix: StateMatrix):
@@ -238,8 +322,7 @@ def _read_columns(path, dtype, usecols=None, ndmin=1):
             return np.zeros(0, dtype)
         fh.seek(start)
         try:
-            return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
-                              ndmin=ndmin)
+            return _loadtxt(fh, dtype, usecols, ndmin)
         except ValueError as exc:
             error = exc
     with open(path, newline="") as fh:

@@ -2,9 +2,9 @@
 
 Every ``recalibrate_every`` trading days (daily by default) the forecast
 re-clusters traders on each trailing calibration window (SVN then community
-detection), trains a forest on the group-state predictor matrix, and predicts
-every predictable session hour of the days until that window's next
-recalibration.  The per-window predictions of each slice are combined by
+detection), trains one forest per target on the group-state predictor matrix,
+and predicts every predictable session hour of the days until that window's
+next recalibration.  The per-window predictions of each slice are combined by
 majority vote.  Nothing that postdates a prediction slice ever enters its
 inputs.
 """
@@ -148,33 +148,117 @@ def _structure(window: StateMatrix, top_n: int, min_trades: int, p0: float, seed
     return detect_communities(project_weighted(build_svn(active, FdrConfig(p0))), seed=seed)
 
 
-def _calibrate(matrix, t0, t1, t_end, target, cfg, rng_seed):
-    """Calibrate on slices [t0, t1), then predict every slice of [t1, t_end).
+def _features(matrix, t0, t_end, partition, rho0, lag_depth):
+    """``(X, predicts)``: the predictor rows of slices [t0, t_end) and the slice each row predicts.
 
     The group states are aggregated once over [t0, t_end): a state reads only
-    its own slice and a feature row only its slice and lags, so the training
-    rows (those whose target slice precedes t1) are the ones a window ending
-    at t1 would give.  The prediction for slice u comes from the feature row
-    at slice u-1; rows whose lags cross a session gap yield no prediction
-    (abstention).
+    its own slice and a feature row only its slice and lags, so the rows whose
+    target slice precedes t1 are the ones a window ending at t1 would give.
+    Row t predicts slice t+1; rows whose lags cross a session gap yield no
+    prediction (abstention).
     """
-    partition = _structure(matrix.slice_window(t0, t1), cfg["top_n"], cfg["min_trades"], cfg["p0"], rng_seed)
-    if not partition:
-        return _Calibration(None, {})
     ext = matrix.slice_window(t0, t_end)
-    series = aggregate_groups(ext, partition, cfg["rho0"])
-    X, rows = build_predictors(series.sigma, ext.grid, cfg["lag_depth"])
-    predicts = rows + t0 + 1  # row t predicts slice t+1
+    X, rows = build_predictors(aggregate_groups(ext, partition, rho0).sigma, ext.grid, lag_depth)
+    return X, rows + t0 + 1
+
+
+def _calibrate(features, t1, t_end, target, forest_config, rng_seed):
+    """Train one target's forest on the rows predicting slices before t1, then predict every slice of [t1, t_end).
+
+    ``features`` is ``_features``'s ``(X, predicts)``, or None for a window
+    without groups.  Rows whose target is NaN are not trained on, so each
+    target has its own training rows.
+    """
+    if features is None:
+        return _Calibration(None, {})
+    X, predicts = features
     train = predicts < t1
     y = target[predicts[train]]
     finite = ~np.isnan(y)
     X_train, y = X[train][finite], y[finite].astype(np.int64)
     if len(X_train) < MIN_TRAIN_ROWS:
         return _Calibration(None, {})
-    model = train_forest(X_train, y, cfg["forest"], seed=rng_seed)
+    model = train_forest(X_train, y, forest_config, seed=rng_seed)
     ahead = ~train & (predicts < t_end)
     preds = forest_predict_batch(model, X[ahead])
     return _Calibration(model, dict(zip(predicts[ahead].tolist(), preds.tolist())))
+
+
+def rolling_forecasts(
+    matrix: StateMatrix,
+    schedule: CalibrationSchedule = CalibrationSchedule(),
+    target_kinds: tuple = ("flow",),
+    seed: int = 0,
+    trades=None,
+    rho0: float = 0.01,
+    p0: float = 0.05,
+    top_n: int = 500,
+    min_trades: int = 100,
+    lag_depth: int = 1,
+    forest_config: ForestConfig = ForestConfig(),
+    max_days: int | None = None,
+):
+    """Run the rolling forecast of several targets, recalibrating every ``schedule.recalibrate_every`` days.
+
+    Each (day, window) calibration infers its trader groups and predictor
+    rows once, then trains one forest per target with the same seed, so a
+    target's records equal those of a ``rolling_forecast`` of that target
+    alone.  ``target_kinds`` names the targets, ``"flow"`` (the sign of the
+    net volume) and ``"vwap"`` (the direction of the VWAP, which needs
+    ``trades``).  Returns ``{kind: (records, skipped_days)}``: one record per
+    slice of each forecast day, and the days before the shortest window fits.
+    ``matrix`` must cover the full population (targets sum over all traders);
+    per-window feature sets use the activity-filtered traders of each
+    calibration window.
+    """
+    if not target_kinds:
+        raise ValueError("at least one target kind is required")
+    for kind in target_kinds:
+        if kind not in ("flow", "vwap"):
+            raise ValueError(f"unknown target kind {kind!r}")
+    if "vwap" in target_kinds and trades is None:
+        raise ValueError("vwap targets require the trade list")
+    total_flow, flow_signs = flow_sign_targets(matrix)
+    # vwap_signs[t] is the value realized AT slice t: the VWAP change from
+    # slice t-1 to t (vwap_change_targets[t] looks ahead)
+    vwap_signs = None if trades is None else np.concatenate(([np.nan], vwap_change_targets(trades, matrix.grid)[:-1]))
+    targets = {kind: flow_signs.astype(np.float64) if kind == "flow" else vwap_signs for kind in target_kinds}
+
+    days = matrix.grid.day_slices()
+    first_day = min(schedule.window_lengths)  # the first day a window fits
+    last_day = len(days) if max_days is None else min(len(days), first_day + max_days)
+    every = schedule.recalibrate_every
+    votes = {kind: {} for kind in targets}  # kind -> slice index -> {T_in: predicted class}
+    for T_in in schedule.window_lengths:
+        for d in range(T_in, last_day, every):
+            t0, t1 = int(days[d - T_in][0]), int(days[d][0])
+            t_end = int(days[min(d + every, last_day) - 1][-1]) + 1
+            rng_seed = derive_seed(seed, d, T_in)
+            partition = _structure(matrix.slice_window(t0, t1), top_n, min_trades, p0, rng_seed)
+            features = _features(matrix, t0, t_end, partition, rho0, lag_depth) if partition else None
+            for kind, target in targets.items():
+                for t, p in _calibrate(features, t1, t_end, target, forest_config, rng_seed).votes.items():
+                    votes[kind].setdefault(t, {})[T_in] = p
+    results = {}
+    for kind in targets:
+        records = []
+        for d in range(first_day, last_day):
+            for t in days[d].tolist():
+                slice_votes = votes[kind].get(t, {})
+                v_sign = np.nan if vwap_signs is None else vwap_signs[t]
+                records.append(
+                    ForecastRecord(
+                        slice_index=t,
+                        slice_end=int(matrix.grid.ends[t]),
+                        per_window={w: slice_votes.get(w, 0) for w in schedule.window_lengths},
+                        combined=majority_vote(slice_votes.values()) if slice_votes else 0,
+                        realized_sign=int(flow_signs[t]),
+                        realized_flow=float(total_flow[t]),
+                        realized_vwap_sign=None if np.isnan(v_sign) else int(v_sign),
+                    )
+                )
+        results[kind] = (records, list(range(min(first_day, len(days)))))
+    return results
 
 
 def rolling_forecast(
@@ -191,58 +275,10 @@ def rolling_forecast(
     forest_config: ForestConfig = ForestConfig(),
     max_days: int | None = None,
 ):
-    """Run the rolling forecast, recalibrating every ``schedule.recalibrate_every`` days.
+    """Run the rolling forecast of one target: ``rolling_forecasts`` with ``target_kinds=(target_kind,)``.
 
-    Returns ``(records, skipped_days)``: one record per slice of each
-    forecast day, and the days before the shortest window fits.  ``matrix``
-    must cover the full population (targets sum over all traders);
-    per-window feature sets use the activity-filtered traders of each
-    calibration window.
+    Returns ``(records, skipped_days)``.  To forecast both targets, call
+    ``rolling_forecasts`` once: it infers each calibration's groups once for both.
     """
-    if target_kind not in ("flow", "vwap"):
-        raise ValueError(f"unknown target kind {target_kind!r}")
-    if target_kind == "vwap" and trades is None:
-        raise ValueError("vwap targets require the trade list")
-    total_flow, flow_signs = flow_sign_targets(matrix)
-    # vwap_signs[t] is the value realized AT slice t: the VWAP change from
-    # slice t-1 to t (vwap_change_targets[t] looks ahead)
-    vwap_signs = None if trades is None else np.concatenate(([np.nan], vwap_change_targets(trades, matrix.grid)[:-1]))
-    target = flow_signs.astype(np.float64) if target_kind == "flow" else vwap_signs
-
-    cfg = {
-        "rho0": rho0,
-        "p0": p0,
-        "top_n": top_n,
-        "min_trades": min_trades,
-        "lag_depth": lag_depth,
-        "forest": forest_config,
-    }
-    days = matrix.grid.day_slices()
-    first_day = min(schedule.window_lengths)  # the first day a window fits
-    last_day = len(days) if max_days is None else min(len(days), first_day + max_days)
-    every = schedule.recalibrate_every
-    votes = {}  # slice index -> {T_in: predicted class}
-    for T_in in schedule.window_lengths:
-        for d in range(T_in, last_day, every):
-            t0, t1 = int(days[d - T_in][0]), int(days[d][0])
-            t_end = int(days[min(d + every, last_day) - 1][-1]) + 1
-            cal = _calibrate(matrix, t0, t1, t_end, target, cfg, derive_seed(seed, d, T_in))
-            for t, p in cal.votes.items():
-                votes.setdefault(t, {})[T_in] = p
-    records = []
-    for d in range(first_day, last_day):
-        for t in days[d].tolist():
-            slice_votes = votes.get(t, {})
-            v_sign = np.nan if vwap_signs is None else vwap_signs[t]
-            records.append(
-                ForecastRecord(
-                    slice_index=t,
-                    slice_end=int(matrix.grid.ends[t]),
-                    per_window={w: slice_votes.get(w, 0) for w in schedule.window_lengths},
-                    combined=majority_vote(slice_votes.values()) if slice_votes else 0,
-                    realized_sign=int(flow_signs[t]),
-                    realized_flow=float(total_flow[t]),
-                    realized_vwap_sign=None if np.isnan(v_sign) else int(v_sign),
-                )
-            )
-    return records, list(range(min(first_day, len(days))))
+    return rolling_forecasts(matrix, schedule, (target_kind,), seed, trades, rho0, p0, top_n, min_trades, lag_depth,
+                             forest_config, max_days)[target_kind]

@@ -1,5 +1,7 @@
 import io
 import math
+import tracemalloc
+import warnings
 from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
@@ -17,7 +19,9 @@ from tradeflow.ingest import (
     states_from_volumes,
     trade_size_histogram,
 )
-from tradeflow.io import ParseError, _parse_timestamp, parse_trades
+from tradeflow import io as tfio
+from tradeflow.io import ParseError, _parse_timestamp, parse_trades, write_trades
+from tradeflow.synth import MarketSpec, generate_market
 
 HEADER = "trader_id,timestamp,instrument,signed_volume,price\n"
 
@@ -163,6 +167,107 @@ def test_parse_too_many_malformed_is_fatal():
 def test_parse_missing_header_fields():
     with pytest.raises(ParseError, match="missing"):
         parse_trades("trader_id,timestamp\n")
+
+
+class _Unseekable(io.TextIOWrapper):
+    """A file ``parse_trades`` cannot rewind, so it parses it row by row: the oracle of the column-wise path."""
+
+    def seekable(self):
+        return False
+
+
+@pytest.fixture(scope="module")
+def pipeline_csv(tmp_path_factory):
+    """A trades file as ``write_trades`` writes it (CRLF lines), of a market with ~830 heavy-tailed traders."""
+    spec = MarketSpec(group_sizes=(5,) * 6, n_noise_traders=800, alpha=1.5, sync_fidelity=0.9, neutral_prob=0.1,
+                      n_weekdays=3, seed=1)
+    path = tmp_path_factory.mktemp("trades") / "trades.csv"
+    write_trades(path, generate_market(spec)[0])
+    return path
+
+
+def _parse_both(path, monkeypatch, column_wise):
+    """``parse_trades`` of the file at ``path`` and of the same bytes unseekable; the first must take the
+    column-wise path exactly when ``column_wise``, and the two must agree column for column."""
+    loop, calls = tfio._parse_rows, []
+    monkeypatch.setattr(tfio, "_parse_rows", lambda *args: calls.append(args) or loop(*args))
+    with open(path, newline="") as fh:
+        got, got_rejects = parse_trades(fh, max_reject_fraction=1.0)
+    assert len(calls) == (0 if column_wise else 1)
+    with _Unseekable(open(path, "rb"), newline="") as fh:
+        want, want_rejects = parse_trades(fh, max_reject_fraction=1.0)
+    assert got_rejects == want_rejects
+    assert got.trader_ids == want.trader_ids and got.instruments == want.instruments
+    for column in ("trader", "timestamp", "instrument", "signed_volume", "price"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+    return got, got_rejects
+
+
+ROWS = ["b,1704103200000,EURUSD,-2000,1.1", "a,1704099600000,GBPUSD,1000,1.25", "c,1704099600000,EURUSD,5e2,0.9"]
+
+
+@pytest.mark.parametrize("text, column_wise", [
+    (HEADER.replace("\n", "\r\n") + "\r\n".join(ROWS) + "\r\n", True),
+    ("price,instrument,timestamp,signed_volume,trader_id\n1.1,EURUSD,1704103200000,-2000,b\n"
+     "1.25,GBPUSD,1704099600000,1000,a\n", True),
+    (HEADER + "  a ,1704103200000, EURUSD,-2000,1.1\na,1704099600000,EURUSD ,1000,1.1\n", True),
+    (HEADER + '"a,b",1704103200000,EURUSD,-2000,1.1\n"c\nd",1704099600000,EURUSD,1000,1.1\n'
+     '"e""f",1704099600001,EURUSD,7,1.1\n', True),
+    (HEADER + "a\x00,1704103200000,EURUSD,-2000,1.1\na,1704099600000,EURUSD,1000,1.1\n", True),
+    (HEADER + "\n" + ROWS[0] + "\n\r\n\n" + ROWS[1] + "\n\n", True),
+    ("trader_id,timestamp,instrument,signed_volume,price,venue\n" + ROWS[0] + ",X\n" + ROWS[1] + "\n", True),
+    (HEADER, True),
+    (HEADER + ROWS[0] + "\na,2024-01-02T09:30:00+00:00,EURUSD,1000,1.1\n", False),
+    (HEADER + ROWS[0] + "\na,1704099600000,EURUSD,0,1.1\n", False),
+    ("timestamp,signed_volume,price,instrument,trader_id\n2,5,1.0\n4,5,1.0,EURUSD,b\n", False),
+    (HEADER + ROWS[0] + "\n  ,1704099600000,EURUSD,1000,1.1\n", False),
+], ids=["crlf", "column-order", "spaced-ids", "quoted-ids", "nul-id", "blank-lines", "extra-column", "header-only",
+        "iso-timestamp", "zero-volume", "short-row", "blank-trader"])
+def test_column_wise_parse_equals_the_loop(tmp_path, monkeypatch, text, column_wise):
+    path = tmp_path / "trades.csv"
+    path.write_bytes(text.encode())
+    _parse_both(path, monkeypatch, column_wise)
+
+
+def test_column_wise_parse_of_a_pipeline_file_equals_the_loop(tmp_path, monkeypatch, pipeline_csv):
+    path = tmp_path / "trades.csv"
+    path.write_bytes(b"".join(pipeline_csv.read_bytes().splitlines(keepends=True)[:5001]))
+    trades, _ = _parse_both(path, monkeypatch, column_wise=True)
+    assert len(trades) == 5000 and len(trades.trader_ids) > 100
+
+
+@pytest.mark.parametrize("rows, column_wise", [
+    (ROWS * 2, True),  # two full chunks, then an empty read
+    (ROWS + [""] * 3 + ROWS[:1], True),  # a chunk of blank lines only
+    # a quoted field across a chunk boundary: its second line is not a trade
+    (ROWS[:2] + ['c,1704099600002,EURUSD,5,1.1,"note', 'd,1704099600003,EURUSD,5,1.1,end"'], False),
+    (ROWS + ['"a",1704103200000,EURUSD,-2000,1.1'], True),  # a quote in the last chunk
+], ids=["exact-multiple", "blank-chunk", "quote-across-chunks", "quote-in-last-chunk"])
+def test_column_wise_parse_across_chunks(tmp_path, monkeypatch, rows, column_wise):
+    monkeypatch.setattr(tfio, "_PARSE_CHUNK", 3)
+    path = tmp_path / "trades.csv"
+    path.write_text(HEADER + "\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns when a chunk holds no data
+        _parse_both(path, monkeypatch, column_wise)
+
+
+def test_column_wise_parse_stays_in_bounded_memory(pipeline_csv):
+    # reading the whole file at once, as one str, would peak at several times the loop's arrays
+    def peak(fh):
+        with fh:
+            tracemalloc.start()
+            try:
+                trades, _ = parse_trades(fh)
+                return len(trades), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    n, column_peak = peak(open(pipeline_csv, newline=""))
+    n_loop, loop_peak = peak(_Unseekable(open(pipeline_csv, "rb"), newline=""))
+    assert n == n_loop > 20_000
+    assert column_peak <= 1.5 * loop_peak, (column_peak, loop_peak)
 
 
 def test_grid_session_shape():

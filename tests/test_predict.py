@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from tradeflow import predict
 from tradeflow.ingest import StateMatrix, Trades, build_grid, classify_states, states_from_volumes
 from tradeflow.learn import ForestConfig
 from tradeflow.predict import (
@@ -12,6 +13,7 @@ from tradeflow.predict import (
     flow_sign_targets,
     majority_vote,
     rolling_forecast,
+    rolling_forecasts,
     vwap_change_targets,
     vwap_series,
 )
@@ -231,3 +233,45 @@ def test_rolling_forecast_schedules_are_pinned(market_40, windows, every, max_da
     if windows == (45,):
         assert result == ([], list(range(40)))
     assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize("case", ["vwap-nan-slices", "vwap-abstains"])
+def test_rolling_forecasts_equal_one_target_at_a_time(monkeypatch, case):
+    trades, matrix = _planted_market(22)
+    grid = matrix.grid
+    if case == "vwap-nan-slices":
+        # no trade in the fourth slice of each day: its VWAP is NaN, so are the targets of it and the next slice
+        trades = trades.take(grid.slice_of(trades.timestamp) % 7 != 3)
+        matrix = classify_states(trades, grid)
+    else:
+        # the VWAP of every third day only: under 50 finite VWAP targets per window, while flow trains on all its rows
+        trades = trades.take(grid.day_index[grid.slice_of(trades.timestamp)] % 3 == 1)
+    schedule = CalibrationSchedule(window_lengths=(15, 17), recalibrate_every=2)
+    kw = dict(seed=6, trades=trades, **SMALL)
+    structures = []
+    real_structure = predict._structure
+    monkeypatch.setattr(predict, "_structure", lambda *args: structures.append(args) or real_structure(*args))
+    both = rolling_forecasts(matrix, schedule, ("flow", "vwap"), **kw)
+    # one structure per (day, window) calibration: days 15, 17, 19, 21 of the 15-day window, 17, 19, 21 of the other
+    assert len(structures) == 7
+    for kind in ("flow", "vwap"):
+        alone = rolling_forecast(matrix, schedule, target_kind=kind, **kw)
+        assert both[kind] == alone and repr(both[kind]) == repr(alone), kind
+    assert len(structures) == 7 * 3
+    records = {kind: records for kind, (records, _) in both.items()}
+    assert any(r.combined != 0 for r in records["flow"])
+    if case == "vwap-nan-slices":
+        assert any(r.realized_vwap_sign is None for r in records["vwap"])
+        assert any(r.combined != 0 for r in records["vwap"])
+    else:
+        assert all(r.combined == 0 for r in records["vwap"])
+
+
+def test_rolling_forecasts_refuse_unknown_or_missing_targets():
+    trades, matrix = _planted_market(22)
+    schedule = CalibrationSchedule(window_lengths=(20,))
+    for kinds in ((), ("flow", "sharpe")):
+        with pytest.raises(ValueError):
+            rolling_forecasts(matrix, schedule, kinds, trades=trades)
+    with pytest.raises(ValueError, match="trade list"):
+        rolling_forecasts(matrix, schedule, ("flow", "vwap"))
