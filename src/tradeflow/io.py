@@ -8,8 +8,9 @@ document through ``write_json``, and each creates the directory it writes
 into.  Each reader sits next to its writer.
 
 The state matrix is written and parsed column-wise: one ``np.loadtxt`` pass
-per CSV.  A trades file whose every row is clean is parsed column-wise too, in
-chunks of lines; any other is parsed row by row, which reports each reject.
+per CSV.  A trades file is parsed column-wise too, in chunks of lines, up to
+the first chunk holding a row that is not clean; from there on it is parsed
+row by row, which reports each reject.
 An edge file's header is its network's edge dtype (``svn.SVN_EDGE``,
 ``leadlag.LEADLAG_EDGE``).  Readers refuse malformed input with a ``ValueError``
 naming the file and line: a header other than the writer's (``states.csv``
@@ -27,10 +28,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from array import array
 from datetime import datetime, time, timedelta, timezone
-from io import IOBase, StringIO
-from itertools import islice
+from io import StringIO
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -114,15 +116,15 @@ def _parse_timestamp(text: str) -> int:
     return ms
 
 
-def _records(fh):
-    """``(line, row)`` for each CSV record of ``fh``, ``line`` being the physical
-    line the record starts on; blank lines, which ``np.loadtxt`` skips too, give no record."""
+def _records(fh, line=1):
+    """``(line, row)`` for each CSV record of ``fh``, ``line`` being the physical line the record starts on,
+    ``fh``'s first line being line ``line``; blank lines, which ``np.loadtxt`` skips too, give no record."""
     reader = csv.reader(fh)
-    line = 1
+    first = line
     for row in reader:
         if row:
             yield line, row
-        line = reader.line_num + 1
+        line = first + reader.line_num
 
 
 def _loadtxt(source, dtype, usecols=None, ndmin=1):
@@ -133,11 +135,11 @@ def _loadtxt(source, dtype, usecols=None, ndmin=1):
 def parse_trades(stream, max_reject_fraction: float = 0.10):
     """Parse a CSV trade stream.
 
-    A seekable stream whose every row is clean (epoch-ms timestamp, volume
-    non-zero and finite, price positive and finite, trader id not blank) is
-    parsed column-wise, ``_PARSE_CHUNK`` lines per ``np.loadtxt`` call.  Any
-    other stream is parsed row by row, from where it started; that loop
-    reports every reject with its line, and both give the same trades.
+    The rows are parsed column-wise, ``_PARSE_CHUNK`` lines per ``np.loadtxt``
+    call, while every row is clean: epoch-ms timestamp, volume non-zero and
+    finite, price positive and finite, trader id not blank.  From the first
+    chunk that is not, the rest is parsed row by row; that loop reports every
+    reject with its line, and both give the same trades.
 
     Parameters
     ----------
@@ -157,56 +159,95 @@ def parse_trades(stream, max_reject_fraction: float = 0.10):
         stream = StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
         stream = StringIO(stream)
-    if isinstance(stream, IOBase) and stream.seekable():
-        start = stream.tell()
-        trades = _parse_clean(stream)
-        if trades is not None:
-            return trades, []
-        stream.seek(start)
-    return _parse_rows(stream, max_reject_fraction)
+    lines = iter(stream)
+    records = _records(lines)
+    try:
+        line, header = next(records)
+    except StopIteration:
+        raise ParseError("empty stream: no header row")
+    one_line = not any("\n" in h or "\r" in h for h in header)  # a quoted field may hold a line break
+    header = [h.strip() for h in header]
+    if set(TRADE_FIELDS) - set(header):
+        missing = sorted(set(TRADE_FIELDS) - set(header))
+        raise ParseError(f"header is missing required fields: {missing}")
+    columns = _TradeColumns()
+    if one_line:  # the data starts on the header's next line
+        records = _parse_clean(lines, header, columns, line + 1)
+    rejects = _parse_rows(records, {name: header.index(name) for name in TRADE_FIELDS}, columns)
+    n_rows = len(columns) + len(rejects)
+    if n_rows and len(rejects) / n_rows > max_reject_fraction:
+        raise ParseError(
+            f"{len(rejects)} of {n_rows} rows malformed "
+            f"(> {max_reject_fraction:.0%}); first reject: {rejects[0]}"
+        )
+    return columns.sorted_trades(), rejects
 
 
-def _parse_clean(stream):
-    """The trades of ``stream`` parsed column-wise, or None unless every row is clean.
+class _TradeColumns:
+    """The trades parsed so far: each id table in order of first appearance, and one array per column."""
+
+    def __init__(self):
+        self.traders, self.instruments = {}, {}
+        self.trader, self.instrument = array("i"), array("i")
+        self.timestamp, self.signed_volume, self.price = array("q"), array("d"), array("d")
+
+    def __len__(self):
+        return len(self.timestamp)
+
+    def sorted_trades(self) -> Trades:
+        """The columns as :class:`Trades`, ids ``encode_ids``-coded, stably sorted by timestamp."""
+        trader_ids, trader = encode_ids(list(self.traders), self.trader)
+        instrument_ids, instrument = encode_ids(list(self.instruments), self.instrument)
+        timestamp = np.frombuffer(self.timestamp, dtype=np.int64)
+        trades = Trades(trader_ids, trader, timestamp, instrument_ids, instrument, np.frombuffer(self.signed_volume),
+                        np.frombuffer(self.price))
+        return trades.take(np.argsort(timestamp, kind="stable"))
+
+
+def _parse_clean(lines, header, columns, line):
+    """Append to ``columns`` the rows of ``lines``, whose first is line ``line``, column-wise while each chunk of
+    lines is clean; return the records of the lines from the first chunk that is not.
 
     ``np.loadtxt`` accepts a subset of what ``int`` and ``float`` accept, with
-    the same values, so a stream it parses and whose rows all pass the row
-    loop's checks gives the loop's trades.  The header must be one line
-    without quotes.  A quote may appear only in the last chunk of lines: the
-    lines alone do not show whether a chunk ends inside a quoted field.
+    the same values, so a chunk it parses and whose rows all pass the row
+    loop's checks gives the loop's trades.  A quote may appear only in the
+    last chunk: the lines alone do not show whether a chunk ends inside a
+    quoted field.
     """
-    text = stream.readline().removesuffix("\n").removesuffix("\r")
-    if not text or '"' in text or "\r" in text:
-        return None
-    header = [h.strip() for h in text.split(",")]
-    if set(TRADE_FIELDS) - set(header):
-        return None
-    columns = sorted(TRADE_FIELDS, key=header.index)
-    dtype = np.dtype([(name, _TRADE_TYPES[name]) for name in columns])
-    usecols = [header.index(name) for name in columns]
-    traders, instruments = {}, {}
-    trader, instrument = array("i"), array("i")
-    timestamp, signed_volume, price = array("q"), array("d"), array("d")
-    while lines := list(islice(stream, _PARSE_CHUNK)):
-        if len(lines) == _PARSE_CHUNK and '"' in "".join(lines):
-            return None
-        if all(line in ("\n", "\r\n", "\r") for line in lines):  # blank lines only: loadtxt would warn of no data
-            continue
-        try:
-            rows = _loadtxt(lines, dtype, usecols)
-        except ValueError:
-            return None
-        volume, px = rows["signed_volume"], rows["price"]
-        if not ((volume != 0) & np.isfinite(volume) & (px > 0) & np.isfinite(px)).all():
-            return None
-        _append_codes(rows["trader_id"].tolist(), traders, trader)
-        if "" in traders:
-            return None
-        _append_codes(rows["instrument"].tolist(), instruments, instrument)
-        timestamp.frombytes(rows["timestamp"].tobytes())
-        signed_volume.frombytes(volume.tobytes())
-        price.frombytes(px.tobytes())
-    return _sorted_trades(traders, trader, instruments, instrument, timestamp, signed_volume, price)
+    fields = sorted(TRADE_FIELDS, key=header.index)
+    dtype = np.dtype([(name, _TRADE_TYPES[name]) for name in fields])
+    usecols = [header.index(name) for name in fields]
+    while chunk := list(islice(lines, _PARSE_CHUNK)):
+        if not _append_clean(chunk, dtype, usecols, columns):
+            break
+        line += len(chunk)
+    return _records(chain(chunk, lines), line)
+
+
+def _append_clean(chunk, dtype, usecols, columns) -> bool:
+    """Append the rows of ``chunk`` to ``columns`` if all are clean; else append nothing and return False."""
+    if len(chunk) == _PARSE_CHUNK and '"' in "".join(chunk):
+        return False
+    if all(line in ("\n", "\r\n", "\r") for line in chunk):  # blank lines only: loadtxt would warn of no data
+        return True
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2 reads "1.0" into an int column through a float, with this warning; int() refuses it
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = _loadtxt(chunk, dtype, usecols)
+    except (ValueError, DeprecationWarning):
+        return False
+    volume, px = rows["signed_volume"], rows["price"]
+    trader_ids = rows["trader_id"].tolist()
+    if not ((volume != 0) & np.isfinite(volume) & (px > 0) & np.isfinite(px)).all() \
+            or not all(map(str.strip, dict.fromkeys(trader_ids))):
+        return False
+    _append_codes(trader_ids, columns.traders, columns.trader)
+    _append_codes(rows["instrument"].tolist(), columns.instruments, columns.instrument)
+    columns.timestamp.frombytes(rows["timestamp"].tobytes())
+    columns.signed_volume.frombytes(volume.tobytes())
+    columns.price.frombytes(px.tobytes())
+    return True
 
 
 def _append_codes(ids, table, codes):
@@ -217,26 +258,14 @@ def _append_codes(ids, table, codes):
     codes.fromlist([raw[s] for s in ids])
 
 
-def _parse_rows(stream, max_reject_fraction):
-    """``parse_trades`` row by row: each malformed row is a reject naming its line."""
-    records = _records(stream)
-    try:
-        _, header = next(records)
-    except StopIteration:
-        raise ParseError("empty stream: no header row")
-    header = [h.strip() for h in header]
-    if set(TRADE_FIELDS) - set(header):
-        missing = sorted(set(TRADE_FIELDS) - set(header))
-        raise ParseError(f"header is missing required fields: {missing}")
-    col = {name: header.index(name) for name in TRADE_FIELDS}
-
-    traders, instruments = {}, {}
-    trader, instrument = array("i"), array("i")
-    timestamp, signed_volume, price = array("q"), array("d"), array("d")
+def _parse_rows(records, col, columns):
+    """Append to ``columns`` each good row of ``records``, the fields at ``col``; return the rejects, each naming
+    its line."""
+    traders, instruments = columns.traders, columns.instruments
+    trader, instrument = columns.trader, columns.instrument
+    timestamp, signed_volume, price = columns.timestamp, columns.signed_volume, columns.price
     rejects = []
-    n_rows = 0
     for line_no, row in records:
-        n_rows += 1
         try:
             ts = _parse_timestamp(row[col["timestamp"]])
             volume = float(row[col["signed_volume"]])
@@ -259,22 +288,7 @@ def _parse_rows(stream, max_reject_fraction):
         timestamp.append(ts)
         signed_volume.append(volume)
         price.append(px)
-    if n_rows and len(rejects) / n_rows > max_reject_fraction:
-        raise ParseError(
-            f"{len(rejects)} of {n_rows} rows malformed "
-            f"(> {max_reject_fraction:.0%}); first reject: {rejects[0]}"
-        )
-    return _sorted_trades(traders, trader, instruments, instrument, timestamp, signed_volume, price), rejects
-
-
-def _sorted_trades(traders, trader, instruments, instrument, timestamp, signed_volume, price) -> Trades:
-    """The parsed columns as :class:`Trades`, ids ``encode_ids``-coded, stably sorted by timestamp."""
-    trader_ids, trader = encode_ids(list(traders), trader)
-    instrument_ids, instrument = encode_ids(list(instruments), instrument)
-    timestamp = np.frombuffer(timestamp, dtype=np.int64)
-    trades = Trades(trader_ids, trader, timestamp, instrument_ids, instrument, np.frombuffer(signed_volume),
-                    np.frombuffer(price))
-    return trades.take(np.argsort(timestamp, kind="stable"))
+    return rejects
 
 
 def write_state_matrix(out_dir, matrix: StateMatrix):

@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 import warnings
@@ -140,6 +139,15 @@ def test_reject_lines_count_the_line_break_inside_an_id():
     assert [(r.line_no, r.reason) for r in rejects] == [(5, "zero signed_volume")]
 
 
+def test_reject_lines_count_the_line_break_inside_a_header():
+    # the header spans lines 1 and 2, so the zero volume sits on line 4
+    text = ('trader_id,timestamp,instrument,signed_volume,price,"venue\nnote"\n'
+            "a,1704099600000,EURUSD,1000,1.1,X\na,1704099600001,EURUSD,0,1.1,Y\n")
+    trades, rejects = parse_trades(text, max_reject_fraction=1.0)
+    assert _rows(trades) == [("a", 1704099600000, "EURUSD", 1000.0, 1.1)]
+    assert [(r.line_no, r.reason) for r in rejects] == [(4, "zero signed_volume")]
+
+
 def test_parse_rejects_timestamp_outside_int64():
     text = HEADER + "a,99999999999999999999,EURUSD,1000,1.1\na,1704099600000,EURUSD,1000,1.1\n"
     trades, rejects = parse_trades(text, max_reject_fraction=1.0)
@@ -169,11 +177,9 @@ def test_parse_missing_header_fields():
         parse_trades("trader_id,timestamp\n")
 
 
-class _Unseekable(io.TextIOWrapper):
-    """A file ``parse_trades`` cannot rewind, so it parses it row by row: the oracle of the column-wise path."""
-
-    def seekable(self):
-        return False
+def _loop_only(lines, header, columns, line):
+    """``io._parse_clean`` handing every line to the row loop: the oracle of the column-wise path."""
+    return tfio._records(lines, line)
 
 
 @pytest.fixture(scope="module")
@@ -186,16 +192,24 @@ def pipeline_csv(tmp_path_factory):
     return path
 
 
-def _parse_both(path, monkeypatch, column_wise):
-    """``parse_trades`` of the file at ``path`` and of the same bytes unseekable; the first must take the
-    column-wise path exactly when ``column_wise``, and the two must agree column for column."""
-    loop, calls = tfio._parse_rows, []
-    monkeypatch.setattr(tfio, "_parse_rows", lambda *args: calls.append(args) or loop(*args))
+def _parse_both(path, monkeypatch, loop_records):
+    """``parse_trades`` of the file at ``path``, and of the same file with the row loop only; the first must
+    leave exactly ``loop_records`` records to the row loop, and the two must agree column for column."""
+    loop, seen = tfio._parse_rows, []
+
+    def counted(records, *args):
+        records = list(records)
+        seen.append(len(records))
+        return loop(iter(records), *args)
+
+    monkeypatch.setattr(tfio, "_parse_rows", counted)
     with open(path, newline="") as fh:
         got, got_rejects = parse_trades(fh, max_reject_fraction=1.0)
-    assert len(calls) == (0 if column_wise else 1)
-    with _Unseekable(open(path, "rb"), newline="") as fh:
+    assert seen == [loop_records]
+    monkeypatch.setattr(tfio, "_parse_clean", _loop_only)
+    with open(path, newline="") as fh:
         want, want_rejects = parse_trades(fh, max_reject_fraction=1.0)
+    assert seen[1:] == [len(want) + len(want_rejects)]
     assert got_rejects == want_rejects
     assert got.trader_ids == want.trader_ids and got.instruments == want.instruments
     for column in ("trader", "timestamp", "instrument", "signed_volume", "price"):
@@ -207,56 +221,70 @@ def _parse_both(path, monkeypatch, column_wise):
 ROWS = ["b,1704103200000,EURUSD,-2000,1.1", "a,1704099600000,GBPUSD,1000,1.25", "c,1704099600000,EURUSD,5e2,0.9"]
 
 
-@pytest.mark.parametrize("text, column_wise", [
-    (HEADER.replace("\n", "\r\n") + "\r\n".join(ROWS) + "\r\n", True),
+@pytest.mark.parametrize("text, loop_records", [
+    (HEADER.replace("\n", "\r\n") + "\r\n".join(ROWS) + "\r\n", 0),
     ("price,instrument,timestamp,signed_volume,trader_id\n1.1,EURUSD,1704103200000,-2000,b\n"
-     "1.25,GBPUSD,1704099600000,1000,a\n", True),
-    (HEADER + "  a ,1704103200000, EURUSD,-2000,1.1\na,1704099600000,EURUSD ,1000,1.1\n", True),
+     "1.25,GBPUSD,1704099600000,1000,a\n", 0),
+    (HEADER + "  a ,1704103200000, EURUSD,-2000,1.1\na,1704099600000,EURUSD ,1000,1.1\n", 0),
     (HEADER + '"a,b",1704103200000,EURUSD,-2000,1.1\n"c\nd",1704099600000,EURUSD,1000,1.1\n'
-     '"e""f",1704099600001,EURUSD,7,1.1\n', True),
-    (HEADER + "a\x00,1704103200000,EURUSD,-2000,1.1\na,1704099600000,EURUSD,1000,1.1\n", True),
-    (HEADER + "\n" + ROWS[0] + "\n\r\n\n" + ROWS[1] + "\n\n", True),
-    ("trader_id,timestamp,instrument,signed_volume,price,venue\n" + ROWS[0] + ",X\n" + ROWS[1] + "\n", True),
-    (HEADER, True),
-    (HEADER + ROWS[0] + "\na,2024-01-02T09:30:00+00:00,EURUSD,1000,1.1\n", False),
-    (HEADER + ROWS[0] + "\na,1704099600000,EURUSD,0,1.1\n", False),
-    ("timestamp,signed_volume,price,instrument,trader_id\n2,5,1.0\n4,5,1.0,EURUSD,b\n", False),
-    (HEADER + ROWS[0] + "\n  ,1704099600000,EURUSD,1000,1.1\n", False),
+     '"e""f",1704099600001,EURUSD,7,1.1\n', 0),
+    (HEADER + "a\x00,1704103200000,EURUSD,-2000,1.1\na,1704099600000,EURUSD,1000,1.1\n", 0),
+    (HEADER + "\n" + ROWS[0] + "\n\r\n\n" + ROWS[1] + "\n\n", 0),
+    ("trader_id,timestamp,instrument,signed_volume,price,venue\n" + ROWS[0] + ",X\n" + ROWS[1] + "\n", 0),
+    (HEADER, 0),
+    (HEADER + ROWS[0] + "\na,2024-01-02T09:30:00+00:00,EURUSD,1000,1.1\n", 2),
+    # int() refuses these epoch-ms times, so loadtxt must not read them through a float
+    (HEADER + ROWS[0] + "\na,1704103200000.0,EURUSD,1000,1.1\na,1.7041032e12,EURUSD,1000,1.1\n", 3),
+    (HEADER + ROWS[0] + "\na,1704099600000,EURUSD,0,1.1\n", 2),
+    ("timestamp,signed_volume,price,instrument,trader_id\n2,5,1.0\n4,5,1.0,EURUSD,b\n", 2),
+    (HEADER + ROWS[0] + "\n  ,1704099600000,EURUSD,1000,1.1\n", 2),
 ], ids=["crlf", "column-order", "spaced-ids", "quoted-ids", "nul-id", "blank-lines", "extra-column", "header-only",
-        "iso-timestamp", "zero-volume", "short-row", "blank-trader"])
-def test_column_wise_parse_equals_the_loop(tmp_path, monkeypatch, text, column_wise):
+        "iso-timestamp", "float-timestamp", "zero-volume", "short-row", "blank-trader"])
+def test_column_wise_parse_equals_the_loop(tmp_path, monkeypatch, text, loop_records):
     path = tmp_path / "trades.csv"
     path.write_bytes(text.encode())
-    _parse_both(path, monkeypatch, column_wise)
+    _parse_both(path, monkeypatch, loop_records)
 
 
 def test_column_wise_parse_of_a_pipeline_file_equals_the_loop(tmp_path, monkeypatch, pipeline_csv):
     path = tmp_path / "trades.csv"
     path.write_bytes(b"".join(pipeline_csv.read_bytes().splitlines(keepends=True)[:5001]))
-    trades, _ = _parse_both(path, monkeypatch, column_wise=True)
+    trades, _ = _parse_both(path, monkeypatch, loop_records=0)
     assert len(trades) == 5000 and len(trades.trader_ids) > 100
 
 
-@pytest.mark.parametrize("rows, column_wise", [
-    (ROWS * 2, True),  # two full chunks, then an empty read
-    (ROWS + [""] * 3 + ROWS[:1], True),  # a chunk of blank lines only
+@pytest.mark.parametrize("rows, loop_records", [
+    (ROWS * 2, 0),  # two full chunks, then an empty read
+    (ROWS + [""] * 3 + ROWS[:1], 0),  # a chunk of blank lines only
     # a quoted field across a chunk boundary: its second line is not a trade
-    (ROWS[:2] + ['c,1704099600002,EURUSD,5,1.1,"note', 'd,1704099600003,EURUSD,5,1.1,end"'], False),
-    (ROWS + ['"a",1704103200000,EURUSD,-2000,1.1'], True),  # a quote in the last chunk
-], ids=["exact-multiple", "blank-chunk", "quote-across-chunks", "quote-in-last-chunk"])
-def test_column_wise_parse_across_chunks(tmp_path, monkeypatch, rows, column_wise):
+    (ROWS[:2] + ['c,1704099600002,EURUSD,5,1.1,"note', 'd,1704099600003,EURUSD,5,1.1,end"'], 3),
+    (ROWS + ['"a",1704103200000,EURUSD,-2000,1.1'], 0),  # a quote in the last chunk
+    # the loop takes over from the chunk holding the reject, and only from there
+    (ROWS + ["", "z,1704099600009,EURUSD,-3,1.1", "a,1704099600005,EURUSD,0,1.1", ROWS[2]], 3),
+], ids=["exact-multiple", "blank-chunk", "quote-across-chunks", "quote-in-last-chunk", "late-reject"])
+def test_column_wise_parse_across_chunks(tmp_path, monkeypatch, rows, loop_records):
     monkeypatch.setattr(tfio, "_PARSE_CHUNK", 3)
     path = tmp_path / "trades.csv"
     path.write_text(HEADER + "\n".join(rows) + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # loadtxt warns when a chunk holds no data
-        _parse_both(path, monkeypatch, column_wise)
+        _parse_both(path, monkeypatch, loop_records)
 
 
-def test_column_wise_parse_stays_in_bounded_memory(pipeline_csv):
+def test_the_loop_numbers_the_lines_after_the_chunks_it_takes_over_from(monkeypatch):
+    # chunks of 3 lines: 2-4 and 5-7 (two of them blank) are clean, 8-10 holds the reject on line 9
+    monkeypatch.setattr(tfio, "_PARSE_CHUNK", 3)
+    text = HEADER + "\n".join(ROWS + ["", "z,1704099600009,EURUSD,-3,1.1", "", ROWS[0],
+                                      "a,1704099600005,EURUSD,0,1.1", ROWS[1]]) + "\n"
+    trades, rejects = parse_trades(text, max_reject_fraction=1.0)
+    assert len(trades) == 6 and trades.trader_ids == ("a", "b", "c", "z")
+    assert [(r.line_no, r.reason) for r in rejects] == [(9, "zero signed_volume")]
+
+
+def test_column_wise_parse_stays_in_bounded_memory(monkeypatch, pipeline_csv):
     # reading the whole file at once, as one str, would peak at several times the loop's arrays
-    def peak(fh):
-        with fh:
+    def peak():
+        with open(pipeline_csv, newline="") as fh:
             tracemalloc.start()
             try:
                 trades, _ = parse_trades(fh)
@@ -264,8 +292,9 @@ def test_column_wise_parse_stays_in_bounded_memory(pipeline_csv):
             finally:
                 tracemalloc.stop()
 
-    n, column_peak = peak(open(pipeline_csv, newline=""))
-    n_loop, loop_peak = peak(_Unseekable(open(pipeline_csv, "rb"), newline=""))
+    n, column_peak = peak()
+    monkeypatch.setattr(tfio, "_parse_clean", _loop_only)
+    n_loop, loop_peak = peak()
     assert n == n_loop > 20_000
     assert column_peak <= 1.5 * loop_peak, (column_peak, loop_peak)
 
