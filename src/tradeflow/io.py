@@ -210,9 +210,9 @@ def _parse_clean(lines, header, columns, line):
 
     ``np.loadtxt`` accepts a subset of what ``int`` and ``float`` accept, with
     the same values, so a chunk it parses and whose rows all pass the row
-    loop's checks gives the loop's trades.  A quote may appear only in the
-    last chunk: the lines alone do not show whether a chunk ends inside a
-    quoted field.
+    loop's checks gives the loop's trades.  A full chunk holding a quote is
+    left to the loop, with the rest: its lines alone do not show whether it
+    ends inside a quoted field.
     """
     fields = sorted(TRADE_FIELDS, key=header.index)
     dtype = np.dtype([(name, _TRADE_TYPES[name]) for name in fields])
@@ -232,7 +232,7 @@ def _append_clean(chunk, dtype, usecols, columns) -> bool:
         return True
     try:
         with warnings.catch_warnings():
-            # numpy before 2 reads "1.0" into an int column through a float, with this warning; int() refuses it
+            # older numpy reads "1.0" into an int column through a float, with this warning; int() refuses it
             warnings.simplefilter("error", DeprecationWarning)
             rows = _loadtxt(chunk, dtype, usecols)
     except (ValueError, DeprecationWarning):
