@@ -37,7 +37,7 @@ from .learn import (
     train_forest,
     train_logistic,
 )
-from .predict import CalibrationSchedule, ForecastRecord, majority_vote, rolling_forecast, rolling_forecasts
+from .predict import CalibrationSchedule, ForecastRecord, rolling_forecast, rolling_forecasts
 from .stability import adjusted_rand_index, leadlag_overlap_beta, relabel_partition
 from .svn import FdrConfig, ValidatedNetwork, bh_fdr, build_svn, hypergeom_sf
 from .synth import MarketSpec, PlantedEdge, generate_market
@@ -76,7 +76,6 @@ __all__ = [
     "train_logistic",
     "CalibrationSchedule",
     "ForecastRecord",
-    "majority_vote",
     "rolling_forecast",
     "rolling_forecasts",
     "TestResult",

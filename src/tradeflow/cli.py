@@ -45,7 +45,7 @@ from .learn import ForestConfig
 from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecasts
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
 from .svn import MIN_WINDOW_SLICES, FdrConfig, ValidatedNetwork, build_svn
-from .synth import MarketSpec, PlantedEdge, generate_market
+from .synth import MarketSpec, PlantedEdge, _is_integer, generate_market
 
 
 @dataclass
@@ -75,6 +75,14 @@ class RunConfig:
 
     def validate(self):
         """Refuse, as ``ValueError``, values that would crash, hang or silently corrupt a run."""
+        for f in dataclasses.fields(self):  # the annotations are strings: the module defers them
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+        if not all(_is_integer(w) for w in self.window_lengths):
+            raise ValueError(f"window_lengths must be integers, got {list(self.window_lengths)!r}")
         if not 0.01 <= self.rho0 <= 0.1:
             raise ValueError(f"rho0 must lie in [0.01, 0.1], got {self.rho0}")
         if self.top_n < 1 or self.min_trades < 0:

@@ -250,9 +250,8 @@ def filter_active(matrix: StateMatrix, top_n: int = 500, min_trades: int = 100) 
         raise ValueError("top_n must be >= 1")
     counts = matrix.trade_counts
     order = sorted(range(matrix.n_traders), key=lambda k: (-int(counts[k]), str(matrix.traders[k])))
-    keep = [k for k in order if counts[k] >= min_trades][:top_n]
-    keep_ids = sorted((matrix.traders[k] for k in keep), key=str)
-    return matrix.select_traders(keep_ids)
+    keep = sorted([k for k in order if counts[k] >= min_trades][:top_n], key=lambda k: str(matrix.traders[k]))
+    return matrix._take([matrix.traders[k] for k in keep], matrix.grid, np.array(keep, dtype=np.intp))
 
 
 @dataclass(frozen=True)

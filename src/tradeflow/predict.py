@@ -5,8 +5,8 @@ re-clusters traders on each trailing calibration window (SVN then community
 detection), trains one forest per target on the group-state predictor matrix,
 and predicts every predictable session hour of the days until that window's
 next recalibration.  The per-window predictions of each slice are combined by
-majority vote.  Nothing that postdates a prediction slice ever enters its
-inputs.
+majority vote: the sign of their sum, with 0 for an abstention.  Nothing that
+postdates a prediction slice ever enters its inputs.
 """
 
 from __future__ import annotations
@@ -99,29 +99,12 @@ def vwap_series(trades, grid) -> np.ndarray:
     return out
 
 
-def vwap_change_targets(trades, grid) -> np.ndarray:
-    """target[t] = sign(VWAP_{t+1} - VWAP_t); NaN rows are skipped downstream."""
-    vwap = vwap_series(trades, grid)
-    T = len(grid)
-    out = np.full(T, np.nan)
-    if T > 1:
-        d = vwap[1:] - vwap[:-1]
-        out[:-1] = np.sign(d)
-    return out
+def realized_vwap_signs(trades, grid) -> np.ndarray:
+    """sign[t] = sign(VWAP_t - VWAP_{t-1}), the VWAP direction realized at slice t.
 
-
-def majority_vote(votes) -> int:
-    """Majority over the -1/+1 votes; 0-votes abstain; exact tie -> 0."""
-    votes = list(votes)
-    if not votes:
-        raise ValueError("need at least one vote")
-    plus = sum(1 for v in votes if v == 1)
-    minus = sum(1 for v in votes if v == -1)
-    if plus > minus:
-        return 1
-    if minus > plus:
-        return -1
-    return 0
+    NaN at slice 0 and wherever either VWAP is NaN; such rows are not trained on.
+    """
+    return np.sign(np.diff(vwap_series(trades, grid), prepend=np.nan))
 
 
 def derive_seed(seed: int, day: int, window: int) -> int:
@@ -133,7 +116,8 @@ def derive_seed(seed: int, day: int, window: int) -> int:
 @dataclass
 class _Calibration:
     model: object | None
-    votes: dict  # slice index -> predicted class, for the slices this calibration forecasts
+    slices: np.ndarray  # the slices this calibration forecasts
+    votes: np.ndarray  # the class predicted for each of them
 
 
 def _structure(window: StateMatrix, top_n: int, min_trades: int, p0: float, seed: int):
@@ -169,19 +153,19 @@ def _calibrate(features, t1, t_end, target, forest_config, rng_seed):
     without groups.  Rows whose target is NaN are not trained on, so each
     target has its own training rows.
     """
+    no_votes = np.zeros(0, dtype=np.int64)
     if features is None:
-        return _Calibration(None, {})
+        return _Calibration(None, no_votes, no_votes)
     X, predicts = features
     train = predicts < t1
     y = target[predicts[train]]
     finite = ~np.isnan(y)
     X_train, y = X[train][finite], y[finite].astype(np.int64)
     if len(X_train) < MIN_TRAIN_ROWS:
-        return _Calibration(None, {})
+        return _Calibration(None, no_votes, no_votes)
     model = train_forest(X_train, y, forest_config, seed=rng_seed)
     ahead = ~train & (predicts < t_end)
-    preds = forest_predict_batch(model, X[ahead])
-    return _Calibration(model, dict(zip(predicts[ahead].tolist(), preds.tolist())))
+    return _Calibration(model, predicts[ahead], forest_predict_batch(model, X[ahead]))
 
 
 def rolling_forecasts(
@@ -219,17 +203,17 @@ def rolling_forecasts(
     if "vwap" in target_kinds and trades is None:
         raise ValueError("vwap targets require the trade list")
     total_flow, flow_signs = flow_sign_targets(matrix)
-    # vwap_signs[t] is the value realized AT slice t: the VWAP change from
-    # slice t-1 to t (vwap_change_targets[t] looks ahead)
-    vwap_signs = None if trades is None else np.concatenate(([np.nan], vwap_change_targets(trades, matrix.grid)[:-1]))
+    vwap_signs = None if trades is None else realized_vwap_signs(trades, matrix.grid)
     targets = {kind: flow_signs.astype(np.float64) if kind == "flow" else vwap_signs for kind in target_kinds}
 
     days = matrix.grid.day_slices()
-    first_day = min(schedule.window_lengths)  # the first day a window fits
+    windows = schedule.window_lengths
+    first_day = min(windows)  # the first day a window fits
     last_day = len(days) if max_days is None else min(len(days), first_day + max_days)
     every = schedule.recalibrate_every
-    votes = {kind: {} for kind in targets}  # kind -> slice index -> {T_in: predicted class}
-    for T_in in schedule.window_lengths:
+    # votes[kind][w, t]: the class window w predicts for slice t; 0 is an abstention
+    votes = {kind: np.zeros((len(windows), matrix.n_slices), dtype=np.int64) for kind in targets}
+    for w, T_in in enumerate(windows):
         for d in range(T_in, last_day, every):
             t0, t1 = int(days[d - T_in][0]), int(days[d][0])
             t_end = int(days[min(d + every, last_day) - 1][-1]) + 1
@@ -237,26 +221,27 @@ def rolling_forecasts(
             partition = _structure(matrix.slice_window(t0, t1), top_n, min_trades, p0, rng_seed)
             features = _features(matrix, t0, t_end, partition, rho0, lag_depth) if partition else None
             for kind, target in targets.items():
-                for t, p in _calibrate(features, t1, t_end, target, forest_config, rng_seed).votes.items():
-                    votes[kind].setdefault(t, {})[T_in] = p
+                cal = _calibrate(features, t1, t_end, target, forest_config, rng_seed)
+                votes[kind][w, cal.slices] = cal.votes
+    forecast = np.concatenate(days[first_day:last_day]) if first_day < last_day else np.zeros(0, dtype=np.int64)
+    ends = matrix.grid.ends
     results = {}
-    for kind in targets:
-        records = []
-        for d in range(first_day, last_day):
-            for t in days[d].tolist():
-                slice_votes = votes[kind].get(t, {})
-                v_sign = np.nan if vwap_signs is None else vwap_signs[t]
-                records.append(
-                    ForecastRecord(
-                        slice_index=t,
-                        slice_end=int(matrix.grid.ends[t]),
-                        per_window={w: slice_votes.get(w, 0) for w in schedule.window_lengths},
-                        combined=majority_vote(slice_votes.values()) if slice_votes else 0,
-                        realized_sign=int(flow_signs[t]),
-                        realized_flow=float(total_flow[t]),
-                        realized_vwap_sign=None if np.isnan(v_sign) else int(v_sign),
-                    )
-                )
+    for kind, v in votes.items():
+        v = v[:, forecast]
+        # the committee: the sign of the summed votes, so abstentions do not count and an exact tie gives 0
+        combined = np.sign(v.sum(axis=0))
+        records = [
+            ForecastRecord(
+                slice_index=t,
+                slice_end=int(ends[t]),
+                per_window=dict(zip(windows, per_window)),
+                combined=c,
+                realized_sign=int(flow_signs[t]),
+                realized_flow=float(total_flow[t]),
+                realized_vwap_sign=None if vwap_signs is None or np.isnan(vwap_signs[t]) else int(vwap_signs[t]),
+            )
+            for t, per_window, c in zip(forecast.tolist(), v.T.tolist(), combined.tolist())
+        ]
         results[kind] = (records, list(range(min(first_day, len(days)))))
     return results
 

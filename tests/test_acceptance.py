@@ -28,7 +28,7 @@ from tradeflow.learn import (
     train_forest,
     train_logistic,
 )
-from tradeflow.predict import CalibrationSchedule, rolling_forecast
+from tradeflow.predict import CalibrationSchedule, rolling_forecast, rolling_forecasts
 from tradeflow.stability import adjusted_rand_index, leadlag_overlap_beta
 from tradeflow.svn import build_svn, hypergeom_sf
 from tradeflow.synth import MarketSpec, PlantedEdge, generate_market
@@ -229,9 +229,8 @@ def test_acceptance_06_forecast_skill_and_null():
     mx = tf.classify_states(trades, truth.grid)
     schedule = CalibrationSchedule()
     results = {}
-    for kind in ("flow", "vwap"):
-        records, _ = rolling_forecast(mx, schedule, target_kind=kind, seed=5,
-                                      trades=trades, **FORECAST_KW)
+    both = rolling_forecasts(mx, schedule, target_kinds=("flow", "vwap"), seed=5, trades=trades, **FORECAST_KW)
+    for kind, (records, _) in both.items():
         pred, real = _combined_outcomes(records, kind)
         acc, base, n = _accuracy_and_base(pred, real)
         cc = chou_chu_test(pred, real, seed=0, n_permutations=2000)

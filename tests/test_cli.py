@@ -98,6 +98,21 @@ def test_config_defaults_and_validation(tmp_path):
             RunConfig.load(str(bad))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("top_n", 10.5), ("top_n", True), ("n_trees", 2.5), ("recalibrate_every", 1.5), ("lag_depth", 1.5),
+    ("stability_step", 2.5), ("min_node_size", 2.5), ("slice_minutes", 30.5), ("min_trades", "100"),
+    ("window_lengths", [45.5, 50]), ("window_lengths", [45, True]), ("include_weekends", "false"),
+    ("include_weekends", 0),
+])
+def test_config_refuses_values_of_the_wrong_type(tmp_path, key, value):
+    # each of these loaded: a fractional count crashed a stage after ingest, 30.5-minute slices were built
+    # while states_meta.json recorded 30, and the truthy string "false" included weekends
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({key: value}))
+    with pytest.raises(SystemExit, match=f"^config error: {key} must be"):
+        RunConfig.load(str(config))
+
+
 def test_every_library_config_field_is_a_run_config_key():
     # a library option that no config key reaches could only ever be set by tests
     keys = {f.name for f in dataclasses.fields(RunConfig)}

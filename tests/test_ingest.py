@@ -424,6 +424,20 @@ def test_filter_active_ranks_and_thresholds():
     assert out.traders == ["t1", "t2", "t3"]
 
 
+def test_filter_active_takes_the_rows_of_the_traders_it_keeps():
+    # ids of mixed types, listed out of order: the kept traders come sorted by str, each with its own rows
+    m = _matrix_with_counts([150, 300, 5, 120, 200])
+    m.traders = ["t9", 10, "t0", "t10", 2]
+    m.V[:] = np.arange(5)[:, None]
+    m.sigma[:] = np.arange(5)[:, None]
+    out = filter_active(m, top_n=4, min_trades=100)
+    assert out.traders == [10, 2, "t10", "t9"]
+    expected = m.select_traders(out.traders)
+    for name in ("V", "G", "sigma", "counts"):
+        assert np.array_equal(getattr(out, name), getattr(expected, name)), name
+    assert out.V[:, 0].tolist() == [1, 4, 3, 0]
+
+
 def test_filter_active_recounts_after_windowing():
     grid = build_grid("2024-01-01", "2024-01-03")
     n, T = 2, len(grid)

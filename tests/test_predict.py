@@ -11,10 +11,9 @@ from tradeflow.predict import (
     build_predictors,
     derive_seed,
     flow_sign_targets,
-    majority_vote,
+    realized_vwap_signs,
     rolling_forecast,
     rolling_forecasts,
-    vwap_change_targets,
     vwap_series,
 )
 from tradeflow.synth import MarketSpec, PlantedEdge, generate_market
@@ -83,18 +82,50 @@ def test_vwap_series_and_targets():
     assert vwap[0] == pytest.approx((100 * 10 + 300 * 20) / 400)
     assert vwap[1] == 30.0
     assert np.isnan(vwap[2])
-    targets = vwap_change_targets(trades, grid)
-    assert targets[0] == 1.0
-    assert np.isnan(targets[1]) and np.isnan(targets[2])
+    # the sign realized at slice t is that of VWAP_t - VWAP_{t-1}
+    signs = realized_vwap_signs(trades, grid)
+    assert len(signs) == 3
+    assert np.isnan(signs[0])
+    assert signs[1] == 1.0
+    assert np.isnan(signs[2])
 
 
-def test_majority_vote_rules():
-    assert majority_vote([1, 1, -1]) == 1
-    assert majority_vote([-1, -1, 1, 0, 0]) == -1
-    assert majority_vote([1, -1]) == 0
-    assert majority_vote([0, 0]) == 0
-    with pytest.raises(ValueError):
-        majority_vote([])
+def test_committee_votes_the_sign_of_the_summed_window_votes(monkeypatch):
+    # windows of 2, 3 and 4 days recalibrated every 2 days over 10 days of 7 slices; each calibration
+    # votes by a slice's position in its day, and never for the first slice of a day
+    grid = _grid(70)
+    zeros = np.zeros((1, 70))
+    matrix = StateMatrix(["a"], grid, zeros, zeros, zeros.astype(np.int8), zeros.astype(np.int64))
+    table = {2: [0, 1, 1, 1, 1, 1, 1], 3: [0, 1, 1, -1, -1, -1, -1], 4: [0, -1, -1, 0, 0, -1, -1]}
+    calibration_of = {derive_seed(0, d, T): (d, T) for d in range(10) for T in table}
+
+    def crafted(features, t1, t_end, target, forest_config, rng_seed):
+        d, T = calibration_of[rng_seed]
+        slices = [t for t in range(t1, t_end) if t % 7]
+        votes = [table[T][t % 7] for t in slices]
+        if (d, T) == (4, 2):  # the second calibration of the 2-day window overwrites day 2, the first one's
+            slices += list(range(15, 21))
+            votes += [-1] * 6
+        return predict._Calibration(None, np.array(slices), np.array(votes))
+
+    monkeypatch.setattr(predict, "_structure", lambda *args: {})
+    monkeypatch.setattr(predict, "_calibrate", crafted)
+    records, skipped = rolling_forecast(matrix, CalibrationSchedule(window_lengths=(2, 3, 4), recalibrate_every=2))
+    assert skipped == [0, 1]
+    by_slice = {r.slice_index: (r.per_window, r.combined) for r in records}
+    assert sorted(by_slice) == list(range(14, 70))
+    # day 6: every window forecasts
+    assert by_slice[42] == ({2: 0, 3: 0, 4: 0}, 0)  # every window abstains
+    assert by_slice[43] == ({2: 1, 3: 1, 4: -1}, 1)  # a majority
+    assert by_slice[45] == ({2: 1, 3: -1, 4: 0}, 0)  # a tie, with one window voting 0
+    assert by_slice[47] == ({2: 1, 3: -1, 4: -1}, -1)
+    # day 2: only the 2-day window forecasts, and its later calibration's votes stand
+    assert by_slice[15] == ({2: -1, 3: 0, 4: 0}, -1)
+    # day 3: the 4-day window has not calibrated yet
+    assert by_slice[22] == ({2: 1, 3: 1, 4: 0}, 1)
+    assert by_slice[24] == ({2: 1, 3: -1, 4: 0}, 0)
+    for r in records:
+        assert type(r.combined) is int and all(type(v) is int for v in r.per_window.values())
 
 
 def test_derive_seed_stable_and_distinct():
