@@ -19,9 +19,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta
+from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
@@ -81,6 +82,12 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            if f.type == "float" and not (_is_integer(value) or isinstance(value, float) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            # YAML reads an unquoted date as a date, which the date fields take, and an unquoted 16:00 as 960
+            dated = f.name.endswith("_date") and isinstance(value, date)
+            if f.type == "str" and not (isinstance(value, str) or dated):
+                raise ValueError(f"{f.name} must be a quoted string, got {value!r}")
         if not all(_is_integer(w) for w in self.window_lengths):
             raise ValueError(f"window_lengths must be integers, got {list(self.window_lengths)!r}")
         if not 0.01 <= self.rho0 <= 0.1:
@@ -272,32 +279,28 @@ def cmd_leadlag(args):
 def cmd_stability(args):
     cfg = RunConfig.load(args.config)
     matrix = tfio.read_state_matrix(_require(args.states, "ingest"))
-    days = matrix.grid.day_slices()
+    b = matrix.grid.day_bounds()  # day d is slices [b[d], b[d + 1])
     W, S = cfg.stability_window, cfg.stability_step
-    if len(days) < W + S:
-        raise SystemExit(f"need at least {W + S} trading days for stability analysis, have {len(days)}")
-    labeled, adjacency, ends, next_fresh = [], [], [], 1
-    for d in range(W, len(days) + 1, S):
-        t0, t1 = int(days[d - W][0]), int(days[d - 1][-1]) + 1
-        window = matrix.slice_window(t0, t1)
+    if len(b) - 1 < W + S:
+        raise SystemExit(f"need at least {W + S} trading days for stability analysis, have {len(b) - 1}")
+    labeled, ari_rows, beta_rows, next_fresh = [], [], [], 1
+    previous, links = {}, None  # the previous window's partition and trader lead-lag links
+    for d in range(W, len(b), S):
+        window = matrix.slice_window(b[d - W], b[d])
         raw = _structure(window, cfg.top_n, cfg.min_trades, cfg.p0, cfg.seed)
         # detect_communities labels 1..k, so the first window keeps its own labels
-        lab, next_fresh = relabel_partition(labeled[-1] if labeled else {}, raw, next_fresh)
+        lab, next_fresh = relabel_partition(previous, raw, next_fresh)
         series = aggregate_groups(window, lab, cfg.rho0) if lab else None
-        adjacency.append(expand_trader_leadlag(build_leadlag(series, FdrConfig(cfg.p0)), lab) if lab else None)
+        adjacency = expand_trader_leadlag(build_leadlag(series, FdrConfig(cfg.p0)), lab) if lab else None
+        end = tfio.iso_ms(int(matrix.grid.ends[b[d] - 1]))
+        if not previous.keys().isdisjoint(lab):  # ARI compares the traders both windows hold
+            ari_rows.append((end, adjusted_rand_index(previous, lab)))
+        if links is not None and adjacency is not None:
+            beta = leadlag_overlap_beta(links, adjacency)
+            beta_rows.append((end, "" if beta is None else beta))
         labeled.append(lab)
-        ends.append(t1 - 1)
+        previous, links = lab, adjacency
     out = Path(args.out)
-    ari_rows, beta_rows = [], []
-    for k in range(1, len(labeled)):
-        common = set(labeled[k - 1]) & set(labeled[k])
-        if common:
-            p = {t: labeled[k - 1][t] for t in common}
-            q = {t: labeled[k][t] for t in common}
-            ari_rows.append((tfio.iso_ms(int(matrix.grid.ends[ends[k]])), adjusted_rand_index(p, q)))
-        if adjacency[k - 1] is not None and adjacency[k] is not None:
-            beta = leadlag_overlap_beta(adjacency[k - 1], adjacency[k])
-            beta_rows.append((tfio.iso_ms(int(matrix.grid.ends[ends[k]])), "" if beta is None else beta))
     tfio.write_rows(out / "ari.csv", ["window_end", "value"], ari_rows)
     tfio.write_rows(out / "beta.csv", ["window_end", "value"], beta_rows)
     tfio.write_rows(out / "river.csv", ["time", "from_label", "to_label", "trader_count"], export_river(labeled))

@@ -106,10 +106,11 @@ class TimeGrid:
             return pos
         return np.where((pos >= 0) & (ms < self.ends[np.clip(pos, 0, len(self) - 1)]), pos, -1)
 
-    def day_slices(self) -> list[np.ndarray]:
-        """Slice-index arrays grouped per trading day, in order."""
-        days = np.unique(self.day_index)
-        return [np.flatnonzero(self.day_index == d) for d in days]
+    def day_bounds(self) -> list[int]:
+        """``n_days + 1`` slice bounds: trading day d is slices ``[b[d], b[d + 1])``."""
+        if not len(self):
+            return [0]
+        return [0, *(np.flatnonzero(np.diff(self.day_index)) + 1).tolist(), len(self)]
 
 
 def build_grid(

@@ -363,7 +363,8 @@ def read_state_matrix(out_dir) -> StateMatrix:
     header ``write_state_matrix`` writes, and every row parses, names a trader
     of ``states.csv`` and a slice index in ``[0, T)``, and no (trader, slice)
     pair twice.  Both files are parsed column-wise, in one ``np.loadtxt`` pass
-    each.
+    each.  ``day_index`` numbers the trading days 0, 1, ... in slice order,
+    which ``TimeGrid.day_bounds`` reads.
     """
     out_dir = Path(out_dir)
     meta = json.loads((out_dir / "states_meta.json").read_text())
@@ -375,6 +376,11 @@ def read_state_matrix(out_dir) -> StateMatrix:
         tz=meta["tz"],
         include_weekends=meta["include_weekends"],
     )
+    day = grid.day_index
+    bad = np.flatnonzero(day != np.cumsum(np.diff(day, prepend=day[:1]) != 0))  # each slice's run of equal days
+    if bad.size:
+        raise ValueError(f"{out_dir / 'states_meta.json'}: slice {bad[0]} has day_index {day[bad[0]]}, "
+                         "but the trading days must be numbered 0, 1, ... in slice order")
     T = len(grid)
     path = out_dir / "states.csv"
     with open(path, newline="") as fh:

@@ -206,24 +206,23 @@ def rolling_forecasts(
     vwap_signs = None if trades is None else realized_vwap_signs(trades, matrix.grid)
     targets = {kind: flow_signs.astype(np.float64) if kind == "flow" else vwap_signs for kind in target_kinds}
 
-    days = matrix.grid.day_slices()
+    b = matrix.grid.day_bounds()  # day d is slices [b[d], b[d + 1])
     windows = schedule.window_lengths
     first_day = min(windows)  # the first day a window fits
-    last_day = len(days) if max_days is None else min(len(days), first_day + max_days)
+    last_day = len(b) - 1 if max_days is None else min(len(b) - 1, first_day + max_days)
     every = schedule.recalibrate_every
     # votes[kind][w, t]: the class window w predicts for slice t; 0 is an abstention
     votes = {kind: np.zeros((len(windows), matrix.n_slices), dtype=np.int64) for kind in targets}
     for w, T_in in enumerate(windows):
         for d in range(T_in, last_day, every):
-            t0, t1 = int(days[d - T_in][0]), int(days[d][0])
-            t_end = int(days[min(d + every, last_day) - 1][-1]) + 1
+            t0, t1, t_end = b[d - T_in], b[d], b[min(d + every, last_day)]
             rng_seed = derive_seed(seed, d, T_in)
             partition = _structure(matrix.slice_window(t0, t1), top_n, min_trades, p0, rng_seed)
             features = _features(matrix, t0, t_end, partition, rho0, lag_depth) if partition else None
             for kind, target in targets.items():
                 cal = _calibrate(features, t1, t_end, target, forest_config, rng_seed)
                 votes[kind][w, cal.slices] = cal.votes
-    forecast = np.concatenate(days[first_day:last_day]) if first_day < last_day else np.zeros(0, dtype=np.int64)
+    forecast = np.arange(b[min(first_day, last_day)], b[last_day])
     ends = matrix.grid.ends
     results = {}
     for kind, v in votes.items():
@@ -242,7 +241,7 @@ def rolling_forecasts(
             )
             for t, per_window, c in zip(forecast.tolist(), v.T.tolist(), combined.tolist())
         ]
-        results[kind] = (records, list(range(min(first_day, len(days)))))
+        results[kind] = (records, list(range(min(first_day, len(b) - 1))))
     return results
 
 

@@ -61,20 +61,23 @@ def _label_key(g):
 
 
 def adjusted_rand_index(p: dict, q: dict) -> float:
-    """Chance-corrected partition agreement over the common element set.
+    """Chance-corrected partition agreement over the elements both partitions hold.
 
-    Both partitions must cover the same elements; 1 for identical
+    Scores ``_contingency(p, q)`` with that table's own row and column sums;
+    ``ValueError`` when the partitions share no element.  1 for identical
     partitions, expectation 0 under independent random labelings.
     """
-    if set(p) != set(q):
-        raise ValueError("partitions must cover the same element set")
-    n = len(p)
-    if n == 0:
-        raise ValueError("empty partitions")
-    sum_comb = sum(comb(v, 2) for v in _contingency(p, q).values())
-    sum_rows = sum(comb(v, 2) for v in Counter(p.values()).values())
-    sum_cols = sum(comb(v, 2) for v in Counter(q.values()).values())
-    total = comb(n, 2)
+    table = _contingency(p, q)
+    if not table:
+        raise ValueError("partitions share no element")
+    rows, cols = Counter(), Counter()
+    for (a, b), v in table.items():
+        rows[a] += v
+        cols[b] += v
+    sum_comb = sum(comb(v, 2) for v in table.values())
+    sum_rows = sum(comb(v, 2) for v in rows.values())
+    sum_cols = sum(comb(v, 2) for v in cols.values())
+    total = comb(sum(table.values()), 2)
     # exact rational arithmetic so pinned values like -1/2 come out bit-exact
     expected = Fraction(sum_rows * sum_cols, total) if total else Fraction(0)
     max_index = Fraction(sum_rows + sum_cols, 2)

@@ -77,8 +77,8 @@ class MarketSpec:
         if not self.alpha > 1:
             raise ValueError("activity tail exponent must exceed 1")
         for e in self.leadlag_edges:
-            if not (0 <= e.leader < len(self.group_sizes) and 0 <= e.follower < len(self.group_sizes)):
-                raise ValueError(f"planted edge references unknown group: {e}")
+            if not all(_is_integer(g) and 0 <= g < len(self.group_sizes) for g in (e.leader, e.follower)):
+                raise ValueError(f"planted edge needs integer group indices below {len(self.group_sizes)}: {e}")
         if not _is_integer(self.n_weekdays) or self.n_weekdays < 1:
             raise ValueError(f"n_weekdays must be a positive integer, got {self.n_weekdays!r}")
         if not _is_integer(self.n_noise_traders) or self.n_noise_traders < 0:

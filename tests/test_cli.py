@@ -88,7 +88,7 @@ def test_config_defaults_and_validation(tmp_path):
         # an unknown zone, market blocks that synth would crash on, and no window at all
         "timezone: Mars/Olympus\n", "market: {bogus: 1}\n", "market: {seed: 3}\n", "market: {n_weekdays: 0}\n",
         "market: {n_noise_traders: -1}\n", "market: {member_rate: -1}\n", "market: {neutral_prob: 2}\n",
-        "market: {start_date: bogus}\n",
+        "market: {start_date: bogus}\n", "market: {leadlag_edges: [{leader: 0.5, follower: 1}]}\n",
         "window_lengths: []\n",
         # numpy refuses these seeds only once synth draws
         "seed: -1\n", "seed: 1.5\n", "seed: '7'\n",
@@ -102,11 +102,14 @@ def test_config_defaults_and_validation(tmp_path):
     ("top_n", 10.5), ("top_n", True), ("n_trees", 2.5), ("recalibrate_every", 1.5), ("lag_depth", 1.5),
     ("stability_step", 2.5), ("min_node_size", 2.5), ("slice_minutes", 30.5), ("min_trades", "100"),
     ("window_lengths", [45.5, 50]), ("window_lengths", [45, True]), ("include_weekends", "false"),
-    ("include_weekends", 0),
+    ("include_weekends", 0), ("histogram_bin", float("inf")), ("histogram_bin", True), ("rho0", "0.05"),
+    ("instrument", 5), ("session_end", 960), ("start_date", 20240101),
 ])
 def test_config_refuses_values_of_the_wrong_type(tmp_path, key, value):
     # each of these loaded: a fractional count crashed a stage after ingest, 30.5-minute slices were built
-    # while states_meta.json recorded 30, and the truthy string "false" included weekends
+    # while states_meta.json recorded 30, the truthy string "false" included weekends, an infinite
+    # histogram_bin gave a nan bin, instrument 5 dropped every trade, and an unquoted session_end: 16:00
+    # (the YAML integer 960) failed inside fromisoformat
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump({key: value}))
     with pytest.raises(SystemExit, match=f"^config error: {key} must be"):

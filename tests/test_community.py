@@ -386,8 +386,8 @@ def test_detect_pinned_stability_window():
                       member_rate=1.0, n_weekdays=25, seed=7)
     trades, truth = generate_market(spec)
     matrix = classify_states(trades, truth.grid)
-    days = matrix.grid.day_slices()
-    window = matrix.slice_window(int(days[0][0]), int(days[19][-1]) + 1)
+    b = matrix.grid.day_bounds()
+    window = matrix.slice_window(b[0], b[20])
     g = project_weighted(build_svn(filter_active(window, 500, 100), FdrConfig(0.05)))
     part = detect_communities(g, seed=7)
     assert g.n_nodes == 250

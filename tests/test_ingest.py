@@ -335,6 +335,18 @@ def test_grid_crosses_dst_change():
     assert (mon[0] - fri[0]) % (24 * 3600 * 1000) == 23 * 3600 * 1000
 
 
+def test_day_bounds_across_a_weekend_and_of_an_empty_grid():
+    # Thursday to Tuesday: four trading days of seven hourly slices, none on the weekend
+    grid = build_grid("2024-01-04", "2024-01-10")
+    b = grid.day_bounds()
+    assert b == [0, 7, 14, 21, 28] and all(type(x) is int for x in b)
+    for d in range(grid.n_days):
+        assert (grid.day_index[b[d]:b[d + 1]] == d).all()
+    # a window's grid keeps the full grid's day numbers; its bounds are its own slice indices
+    assert grid.window(3, 17).day_bounds() == [0, 4, 11, 14]
+    assert build_grid("2024-01-06", "2024-01-08").day_bounds() == [0]  # a weekend alone holds no slice
+
+
 def test_classify_states_buckets_and_rule():
     grid = build_grid("2024-01-01", "2024-01-02")
     t0 = int(grid.starts[0])

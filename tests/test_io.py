@@ -106,6 +106,12 @@ def _then_a_blank_line(edit):
     return edited
 
 
+def _swap_the_first_two_days(text):
+    meta = json.loads(text)
+    meta["day_index"] = [{0: 1, 1: 0}.get(d, d) for d in meta["day_index"]]
+    return json.dumps(meta, indent=1)
+
+
 def _add_a_trader(text):
     meta = json.loads(text)
     meta["n_traders"] += 1
@@ -136,11 +142,13 @@ def _add_a_trader(text):
         ("states_volumes.csv", _then_a_blank_line(_repeat_first_row),
          r"states_volumes\.csv line 4: trader '\w+' slice_index \d+ repeats line 3"),
         ("states.csv", _then_a_blank_line(_edit_row(3, 1, "x")), r"states\.csv line 4: \S+ 'x' does not parse"),
+        # day_bounds reads the days from day_index, so swapped days would give wrong windows
+        ("states_meta.json", _swap_the_first_two_days, r"states_meta\.json: slice 0 has day_index 1, but"),
     ],
     ids=["short-states-row", "unknown-trader", "negative-slice", "slice-past-end", "repeated-trader", "missing-trader",
          "non-number-state", "state-out-of-int8", "short-volume-row", "non-number-volume", "fractional-count",
          "repeated-volume-cell", "reordered-columns", "unknown-trader-after-blank-line",
-         "repeated-cell-after-blank-line", "non-number-state-after-blank-line"],
+         "repeated-cell-after-blank-line", "non-number-state-after-blank-line", "swapped-days"],
 )
 def test_state_matrix_shape_mismatch_is_refused(tmp_path, market, name, edit, message):
     trades, truth = market

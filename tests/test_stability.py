@@ -81,6 +81,13 @@ def test_ari_mismatched_elements_error():
         adjusted_rand_index({"a": 1}, {"b": 1})
 
 
+def test_ari_compares_the_traders_both_partitions_hold():
+    # x is only in p and y only in q; over the shared a..d the pair is test_ari_pinned_values's
+    p = {"x": 3, "a": 1, "b": 1, "c": 2, "d": 2}
+    q = {"a": 1, "b": 2, "c": 1, "d": 2, "y": 3}
+    assert adjusted_rand_index(p, q) == -0.5
+
+
 @given(
     labels=st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=30),
     perm_seed=st.integers(min_value=0, max_value=10_000),
@@ -237,11 +244,14 @@ def test_relabel_equals_set_based_reference(pair, next_fresh):
 @given(pair=_partitions(2, 2))
 @settings(max_examples=300)
 def test_ari_equals_reference_bit_for_bit(pair):
-    common = [t for t in pair[0] if t in pair[1]]
-    if common:
-        p = {t: pair[0][t] for t in common}
-        q = {t: pair[1][t] for t in common}
-        assert adjusted_rand_index(p, q) == _reference_ari(p, q)
+    # the reference takes equal element sets; the ARI of overlapping partitions is that of their restrictions
+    p, q = pair
+    common = [t for t in p if t in q]
+    if not common:
+        with pytest.raises(ValueError, match="share no element"):
+            adjusted_rand_index(p, q)
+        return
+    assert adjusted_rand_index(p, q) == _reference_ari({t: p[t] for t in common}, {t: q[t] for t in common})
 
 
 @given(partitions=_partitions(2, 4))

@@ -137,6 +137,9 @@ def test_spec_validation():
         MarketSpec(alpha=1.0).validate()
     with pytest.raises(ValueError):
         MarketSpec(leadlag_edges=(PlantedEdge(0, 9),)).validate()
+    for edge in (PlantedEdge(0.5, 1), PlantedEdge(0, True)):  # generate_market indexed groups with them
+        with pytest.raises(ValueError, match="integer group indices"):
+            MarketSpec(leadlag_edges=(edge,)).validate()
 
 
 def test_start_date_may_be_a_date():
