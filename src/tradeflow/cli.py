@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
@@ -46,7 +45,7 @@ from .learn import ForestConfig
 from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecasts
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
 from .svn import MIN_WINDOW_SLICES, FdrConfig, ValidatedNetwork, build_svn
-from .synth import MarketSpec, PlantedEdge, _is_integer, generate_market
+from .synth import MarketSpec, PlantedEdge, check_fields, generate_market
 
 
 @dataclass
@@ -57,13 +56,13 @@ class RunConfig:
     session_end: str = "16:00"
     timezone: str = "Europe/London"
     include_weekends: bool = False
-    start_date: str = ""
-    end_date: str = ""
+    start_date: str | date = ""  # YAML reads an unquoted date as a date
+    end_date: str | date = ""
     rho0: float = 0.01
     p0: float = 0.05
     top_n: int = 500
     min_trades: int = 100
-    window_lengths: tuple = DEFAULT_WINDOWS
+    window_lengths: tuple[int, ...] = DEFAULT_WINDOWS
     lag_depth: int = 1
     recalibrate_every: int = 1
     n_trees: int = 500
@@ -76,20 +75,7 @@ class RunConfig:
 
     def validate(self):
         """Refuse, as ``ValueError``, values that would crash, hang or silently corrupt a run."""
-        for f in dataclasses.fields(self):  # the annotations are strings: the module defers them
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_integer(value):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
-            if f.type == "float" and not (_is_integer(value) or isinstance(value, float) and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            # YAML reads an unquoted date as a date, which the date fields take, and an unquoted 16:00 as 960
-            dated = f.name.endswith("_date") and isinstance(value, date)
-            if f.type == "str" and not (isinstance(value, str) or dated):
-                raise ValueError(f"{f.name} must be a quoted string, got {value!r}")
-        if not all(_is_integer(w) for w in self.window_lengths):
-            raise ValueError(f"window_lengths must be integers, got {list(self.window_lengths)!r}")
+        check_fields(self)
         if not 0.01 <= self.rho0 <= 0.1:
             raise ValueError(f"rho0 must lie in [0.01, 0.1], got {self.rho0}")
         if self.top_n < 1 or self.min_trades < 0:

@@ -277,7 +277,7 @@ def fit_tail_exponent(counts) -> TailFit:
 
     Discrete MLE ``alpha = 1 + n / sum(log(x / (x_min - 1/2)))`` over the
     tail ``x >= x_min``; x_min is chosen by minimal Kolmogorov-Smirnov
-    distance between the empirical tail and the fitted law.  The 95%% CI uses
+    distance between the empirical tail and the fitted law.  The 95% CI uses
     the standard error (alpha - 1) / sqrt(n_tail).
     """
     x = np.asarray(counts, dtype=np.float64)

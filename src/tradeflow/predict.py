@@ -27,7 +27,7 @@ DEFAULT_WINDOWS = tuple(range(45, 91, 5))
 
 @dataclass(frozen=True)
 class CalibrationSchedule:
-    window_lengths: tuple = DEFAULT_WINDOWS
+    window_lengths: tuple[int, ...] = DEFAULT_WINDOWS
     recalibrate_every: int = 1  # in trading days
 
     def __post_init__(self):

@@ -24,7 +24,9 @@ looks it up, without the argument checks ``choice`` makes on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, is_dataclass
 from datetime import date, timedelta
 
 import numpy as np
@@ -37,8 +39,42 @@ ROUND_WEIGHTS = ROUND_WEIGHTS / ROUND_WEIGHTS.sum()
 _STATES = np.array([STATE_SELL, STATE_BUY, STATE_NEUTRAL], dtype=np.int8)
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+_KINDS = {int: "an integer", bool: "true or false", float: "a finite number", str: "a quoted string"}
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, types.UnionType):
+        return " or ".join(map(_describe, typing.get_args(kind)))
+    if typing.get_origin(kind) is tuple:
+        return f"a list whose items are each {_describe(typing.get_args(kind)[0])}"
+    return _KINDS.get(kind, f"a {kind.__name__}")
+
+
+def _fits(value, kind, name) -> bool:
+    if isinstance(kind, types.UnionType):
+        return any(_fits(value, k, name) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
+        return isinstance(value, tuple) and all(_fits(v, typing.get_args(kind)[0], name) for v in value)
+    if kind is float:
+        return _fits(value, int, name) or isinstance(value, float) and math.isfinite(value)
+    if kind is int:
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if is_dataclass(kind) and isinstance(value, kind):
+        check_fields(value, f"{name}.")
+    return isinstance(value, kind)
+
+
+def check_fields(obj, prefix=""):
+    """Refuse, as ``ValueError("<field> must be …")``, a field of the dataclass ``obj`` that its annotation does not admit.
+
+    ``int`` admits an integer and ``float`` an integer or a finite float, bools neither; ``bool``, ``str`` and
+    ``date`` admit their own type, ``X | Y`` either, and ``tuple[X, ...]`` a tuple of X.  A dataclass item is
+    checked field by field, its fields named after the field that holds it (``leadlag_edges.invert``).
+    """
+    for name, kind in typing.get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if not _fits(value, kind, prefix + name):
+            raise ValueError(f"{prefix}{name} must be {_describe(kind)}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,14 +86,14 @@ class PlantedEdge:
 
 @dataclass
 class MarketSpec:
-    group_sizes: tuple = (6, 6, 6, 6, 6)
+    group_sizes: tuple[int, ...] = (6, 6, 6, 6, 6)
     n_noise_traders: int = 10
     sync_fidelity: float = 1.0
-    leadlag_edges: tuple = ()
+    leadlag_edges: tuple[PlantedEdge, ...] = ()
     copy_fidelity: float = 1.0
     alpha: float = 2.0  # activity tail exponent of noise traders
     n_weekdays: int = 75
-    start_date: str = "2024-01-01"
+    start_date: str | date = "2024-01-01"  # YAML reads an unquoted date as a date
     instrument: str = "EURUSD"
     member_rate: float = 2.0  # mean trades per member per slice
     neutral_prob: float = 0.2
@@ -67,33 +103,23 @@ class MarketSpec:
     seed: int = 0
 
     def validate(self):
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not all(_is_integer(s) and s >= 1 for s in self.group_sizes):
-            raise ValueError(f"group sizes must be positive integers, got {self.group_sizes!r}")
-        for f in (self.sync_fidelity, self.copy_fidelity):
-            if not 0.0 <= f <= 1.0:
-                raise ValueError(f"fidelities must lie in [0, 1], got {f}")
+        check_fields(self)
+        for key, low in (("seed", 0), ("n_weekdays", 1), ("n_noise_traders", 0), ("member_rate", 0), ("price_noise", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if not all(s >= 1 for s in self.group_sizes):
+            raise ValueError(f"group_sizes must be positive, got {self.group_sizes!r}")
+        for key in ("sync_fidelity", "copy_fidelity", "neutral_prob"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         if not self.alpha > 1:
-            raise ValueError("activity tail exponent must exceed 1")
+            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        if self.base_price <= 0:
+            raise ValueError(f"base_price must be positive, got {self.base_price}")
         for e in self.leadlag_edges:
-            if not all(_is_integer(g) and 0 <= g < len(self.group_sizes) for g in (e.leader, e.follower)):
-                raise ValueError(f"planted edge needs integer group indices below {len(self.group_sizes)}: {e}")
-        if not _is_integer(self.n_weekdays) or self.n_weekdays < 1:
-            raise ValueError(f"n_weekdays must be a positive integer, got {self.n_weekdays!r}")
-        if not _is_integer(self.n_noise_traders) or self.n_noise_traders < 0:
-            raise ValueError(f"n_noise_traders must be a non-negative integer, got {self.n_noise_traders!r}")
-        if not (math.isfinite(self.member_rate) and self.member_rate >= 0):
-            raise ValueError(f"member_rate must be finite and non-negative, got {self.member_rate!r}")
-        if not 0.0 <= self.neutral_prob <= 1.0:
-            raise ValueError(f"neutral_prob must lie in [0, 1], got {self.neutral_prob}")
-        if not (math.isfinite(self.base_price) and self.base_price > 0):
-            raise ValueError(f"base_price must be finite and positive, got {self.base_price!r}")
-        if not (math.isfinite(self.price_noise) and self.price_noise >= 0):
-            raise ValueError(f"price_noise must be finite and non-negative, got {self.price_noise!r}")
-        if not math.isfinite(self.kappa):
-            raise ValueError(f"kappa must be finite, got {self.kappa!r}")
-        date.fromisoformat(str(self.start_date))  # YAML reads an unquoted date as a date
+            if not all(0 <= g < len(self.group_sizes) for g in (e.leader, e.follower)):
+                raise ValueError(f"leadlag_edges must name groups below {len(self.group_sizes)}, got {e}")
+        date.fromisoformat(str(self.start_date))
 
 
 @dataclass

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -118,9 +119,11 @@ def test_config_refuses_values_of_the_wrong_type(tmp_path, key, value):
 
 def test_every_library_config_field_is_a_run_config_key():
     # a library option that no config key reaches could only ever be set by tests
-    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    # and one annotated otherwise would not be checked as the library reads it
+    hints = typing.get_type_hints(RunConfig)
     for config in (ForestConfig, CalibrationSchedule, FdrConfig):
-        assert {f.name for f in dataclasses.fields(config)} <= keys, config.__name__
+        for name, kind in typing.get_type_hints(config).items():
+            assert hints.get(name) == kind, f"{config.__name__}.{name}"
 
 
 def test_config_date_range_loads(tmp_path):
@@ -480,8 +483,8 @@ def test_synth_command_is_pinned(tmp_path):
     ({"member_rate": float("inf")}, "member_rate"),
     ({"n_weekdays": 2.5}, "n_weekdays"),
     ({"n_weekdays": True}, "n_weekdays"),
-    ({"group_sizes": [2.5]}, "group sizes"),
-    ({"group_sizes": [3, True]}, "group sizes"),
+    ({"group_sizes": [2.5]}, "group_sizes"),
+    ({"group_sizes": [3, True]}, "group_sizes"),
     ({"price_noise": -1.0}, "price_noise"),
     ({"price_noise": float("inf")}, "price_noise"),
     ({"base_price": -1.0}, "base_price"),
@@ -489,9 +492,17 @@ def test_synth_command_is_pinned(tmp_path):
     ({"base_price": float("nan")}, "base_price"),
     ({"kappa": float("inf")}, "kappa"),
     ({"kappa": float("nan")}, "kappa"),
+    ({"leadlag_edges": [{"leader": 0, "follower": 1, "invert": "false"}]}, "leadlag_edges.invert"),
+    ({"sync_fidelity": True}, "sync_fidelity"),
+    ({"copy_fidelity": True}, "copy_fidelity"),
+    ({"neutral_prob": True}, "neutral_prob"),
+    ({"alpha": float("inf")}, "alpha"),
+    ({"instrument": 5}, "instrument"),
+    ({"start_date": 20240101}, "start_date"),
 ])
 def test_synth_refuses_market_values_it_cannot_build(tmp_path, market, key):
-    # each of these crashed in numpy, built another market than asked or wrote NaN or negative prices
+    # each of these crashed in numpy, built another market than asked or wrote NaN or negative prices:
+    # the truthy string 'false' planted an inverted edge, and alpha .inf made every noise trader trade once
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump({"market": market}))
     with pytest.raises(SystemExit, match=f"^config error: {key} must be"):

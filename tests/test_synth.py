@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from datetime import date
 
 import numpy as np
@@ -138,8 +139,18 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         MarketSpec(leadlag_edges=(PlantedEdge(0, 9),)).validate()
     for edge in (PlantedEdge(0.5, 1), PlantedEdge(0, True)):  # generate_market indexed groups with them
-        with pytest.raises(ValueError, match="integer group indices"):
+        with pytest.raises(ValueError, match=r"^leadlag_edges\.(leader|follower) must be an integer"):
             MarketSpec(leadlag_edges=(edge,)).validate()
+    # each of these crashed or built another market than it said: 'false' is truthy, so it planted an inverted edge
+    for kwargs, key in [
+        ({"leadlag_edges": (PlantedEdge(0, 1, invert="false"),)}, "leadlag_edges.invert"),
+        ({"leadlag_edges": ((0, 1),)}, "leadlag_edges"), ({"group_sizes": (6, 6.0)}, "group_sizes"),
+        ({"sync_fidelity": True}, "sync_fidelity"), ({"copy_fidelity": True}, "copy_fidelity"),
+        ({"neutral_prob": True}, "neutral_prob"), ({"alpha": float("inf")}, "alpha"), ({"kappa": float("nan")}, "kappa"),
+        ({"instrument": 5}, "instrument"), ({"start_date": 20240101}, "start_date"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must be"):
+            MarketSpec(**kwargs).validate()
 
 
 def test_start_date_may_be_a_date():
