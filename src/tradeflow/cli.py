@@ -48,6 +48,16 @@ from .svn import MIN_WINDOW_SLICES, FdrConfig, ValidatedNetwork, build_svn
 from .synth import MarketSpec, PlantedEdge, check_fields, generate_market
 
 
+def _fields_of(cls, data, scope="", own=()) -> dict:
+    """The YAML mapping ``data`` as keyword arguments of the dataclass ``cls``: lists become tuples, and
+    keys that are not fields of ``cls``, or that the caller sets itself (``own``), are refused.  Every
+    other value is left for `check_fields` to refuse."""
+    unknown = set(data) - ({f.name for f in dataclasses.fields(cls)} - set(own))
+    if unknown:
+        raise ValueError(f"unknown {scope}keys {sorted(unknown)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+
+
 @dataclass
 class RunConfig:
     instrument: str = ""
@@ -109,12 +119,9 @@ class RunConfig:
     def load(cls, path, overrides=None):
         try:
             data = (yaml.safe_load(Path(path).read_text()) or {}) if path else {}
-            unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-            if unknown:
-                raise ValueError(f"unknown keys {sorted(unknown)}")
-            if "window_lengths" in data:
-                data["window_lengths"] = tuple(data["window_lengths"])
-            cfg = cls(**data)
+            if not isinstance(data, dict):
+                raise ValueError(f"a config must map keys to values, got {data!r}")
+            cfg = cls(**_fields_of(cls, data))
             for k, v in (overrides or {}).items():
                 if v is not None:
                     setattr(cfg, k, v)
@@ -131,11 +138,13 @@ class RunConfig:
         )
 
     def market_spec(self) -> MarketSpec:
-        m = dict(self.market)
-        edges = tuple(PlantedEdge(**e) for e in m.pop("leadlag_edges", []))
-        if "group_sizes" in m:
-            m["group_sizes"] = tuple(m["group_sizes"])
-        return MarketSpec(leadlag_edges=edges, seed=self.seed, **m)
+        m = _fields_of(MarketSpec, self.market, "market ", own={"seed"})  # the run's seed seeds the market
+        if isinstance(m.get("leadlag_edges"), tuple):
+            m["leadlag_edges"] = tuple(
+                PlantedEdge(**_fields_of(PlantedEdge, e, "leadlag_edges ")) if isinstance(e, dict) else e
+                for e in m["leadlag_edges"]
+            )
+        return MarketSpec(**m, seed=self.seed)
 
     def config_hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)

@@ -44,9 +44,10 @@ when K = m) unless a word is rejected, which at K <= 60 happens with odds
 of about j / 2**32 per draw, and the i-th set of a tree depends only on its
 generator, not on the shape of the tree.  `_CandidateDraws` computes a block
 of sets per tree at once (32, fewer when a call takes over 32 words) from
-raw words (``random_raw``) with array arithmetic, replays a tree whose block
-holds a rejected word one draw at a time from the rejected set on
-(`_replay_choice`), and carries unused words over to the tree's next block.
+raw words (``random_raw``) with array arithmetic, and carries unused words
+over to the tree's next block.  A rejected word is dropped from its tree's
+block, the later words move up one draw and the tree's next word joins the
+end, until no word of the block is rejected, as numpy's own retry would.
 The forest draws m = ceil(sqrt(K)) candidates, which for K > 10,000 is at
 most K // 50, so numpy's ``choice`` always takes Floyd's branch.  Nothing
 reads the generators after growing, so the words drawn ahead and never used
@@ -147,40 +148,6 @@ def _split_impurities(table, n_occupied, node_size):
 _LOW = np.uint64(0xFFFFFFFF)
 
 
-def _replay_choice(words, bit_generator, K, m, calls):
-    """Sorted results of ``calls`` calls of ``choice(K, m, replace=False)``,
-    one draw at a time, on the 32-bit words ``words`` and then on the halves
-    of ``bit_generator``'s raw outputs, low half first.  Returns the sets and
-    the words left over."""
-    words, pos = [int(w) for w in words], 0
-
-    def draw(j):  # Lemire's bounded draw on [0, j], as numpy makes it for j < 2**32 - 1
-        nonlocal pos
-        if j == 0:
-            return 0
-        while True:
-            if pos == len(words):
-                raw = int(bit_generator.random_raw())
-                words.extend((raw & 0xFFFFFFFF, raw >> 32))
-            product = words[pos] * (j + 1)
-            pos += 1
-            if product & 0xFFFFFFFF >= (1 << 32) % (j + 1):
-                return product >> 32
-
-    sets = []
-    for _ in range(calls):
-        # Floyd's sampling, then numpy's shuffle of the picks, whose draws only use up words
-        kept, seen = [], set()
-        for j in range(K - m, K):
-            v = draw(j)
-            kept.append(j if v in seen else v)
-            seen.add(kept[-1])
-        for i in range(m - 1, 0, -1):
-            draw(i)
-        sets.append(sorted(kept))
-    return np.array(sets, dtype=np.int64).reshape(calls, m), np.array(words[pos:], dtype=np.uint64)
-
-
 class _CandidateDraws:
     """Each tree's split candidates: ``take`` gives the sorted set that each
     listed tree's next ``rngs[t].choice(K, m, replace=False)`` would give.
@@ -222,7 +189,12 @@ class _CandidateDraws:
         self.served[trees] = 0
         words = np.array([self._words(t, B * W) for t in trees.tolist()], dtype=np.uint64).reshape(len(trees), B, W)
         product = words * self.span
-        rejected = (product & _LOW) < self.threshold
+        # numpy draws again after a rejected word: drop it, so each later draw of the tree takes the next word
+        while (rejected := (product & _LOW) < self.threshold).any():
+            for i in np.flatnonzero(rejected.any(axis=(1, 2))).tolist():
+                flat, w = words[i].ravel(), int(np.argmax(rejected[i]))
+                words[i] = np.concatenate([flat[:w], flat[w + 1:], self._words(int(trees[i]), 1)]).reshape(B, W)
+            product = words * self.span
         v = (product[:, :, : m - (K == m)] >> np.uint64(32)).astype(np.int64)
         if K == m:
             v = np.concatenate([np.zeros((len(trees), B, 1), dtype=np.int64), v], axis=2)
@@ -233,11 +205,6 @@ class _CandidateDraws:
             kept[:, :, i] = np.where(dup, K - m + i, v[:, :, i])
         kept.sort(axis=2)
         self.sets[trees] = kept
-        # a rejected word shifts every later draw of the tree: replay from its set on
-        for i in np.flatnonzero(rejected.any(axis=(1, 2))).tolist():
-            t, s = int(trees[i]), int(np.flatnonzero(rejected[i].any(axis=1))[0])
-            rest = np.concatenate([words[i, s:].ravel(), self.carry[t]])
-            self.sets[t, s:], self.carry[t] = _replay_choice(rest, self.rngs[t].bit_generator, K, m, B - s)
 
 
 def _grow_forest(Xenc, ycls, boots, rngs, min_node_size, n_levels, n_classes) -> Trees:

@@ -86,11 +86,11 @@ def test_config_defaults_and_validation(tmp_path):
         "start_date: 2024-02-30\nend_date: 2024-03-01\n", "top_n: [1\n", "top_n: abc\n", "window_lengths: 45\n",
         # windows shorter than the 50 slices the co-occurrence tests need (7 slices a day)
         "window_lengths: [5]\n", "window_lengths: [5, 45]\n", "stability_window: 5\n",
-        # an unknown zone, market blocks that synth would crash on, and no window at all
+        # an unknown zone, market blocks that synth would crash on, no window at all and a config that maps nothing
         "timezone: Mars/Olympus\n", "market: {bogus: 1}\n", "market: {seed: 3}\n", "market: {n_weekdays: 0}\n",
         "market: {n_noise_traders: -1}\n", "market: {member_rate: -1}\n", "market: {neutral_prob: 2}\n",
         "market: {start_date: bogus}\n", "market: {leadlag_edges: [{leader: 0.5, follower: 1}]}\n",
-        "window_lengths: []\n",
+        "window_lengths: []\n", "- seed\n", "5\n",
         # numpy refuses these seeds only once synth draws
         "seed: -1\n", "seed: 1.5\n", "seed: '7'\n",
     ):
@@ -104,7 +104,7 @@ def test_config_defaults_and_validation(tmp_path):
     ("stability_step", 2.5), ("min_node_size", 2.5), ("slice_minutes", 30.5), ("min_trades", "100"),
     ("window_lengths", [45.5, 50]), ("window_lengths", [45, True]), ("include_weekends", "false"),
     ("include_weekends", 0), ("histogram_bin", float("inf")), ("histogram_bin", True), ("rho0", "0.05"),
-    ("instrument", 5), ("session_end", 960), ("start_date", 20240101),
+    ("instrument", 5), ("session_end", 960), ("start_date", 20240101), ("window_lengths", 45),
 ])
 def test_config_refuses_values_of_the_wrong_type(tmp_path, key, value):
     # each of these loaded: a fractional count crashed a stage after ingest, 30.5-minute slices were built
@@ -499,6 +499,9 @@ def test_synth_command_is_pinned(tmp_path):
     ({"alpha": float("inf")}, "alpha"),
     ({"instrument": 5}, "instrument"),
     ({"start_date": 20240101}, "start_date"),
+    ({"group_sizes": 6}, "group_sizes"),
+    ({"leadlag_edges": 3}, "leadlag_edges"),
+    ({"leadlag_edges": [[0, 1]]}, "leadlag_edges"),
 ])
 def test_synth_refuses_market_values_it_cannot_build(tmp_path, market, key):
     # each of these crashed in numpy, built another market than asked or wrote NaN or negative prices:
@@ -506,5 +509,19 @@ def test_synth_refuses_market_values_it_cannot_build(tmp_path, market, key):
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump({"market": market}))
     with pytest.raises(SystemExit, match=f"^config error: {key} must be"):
+        main(["synth", "--config", str(config), "--out", str(tmp_path)])
+    assert not (tmp_path / "trades.csv").exists()
+
+
+@pytest.mark.parametrize("market, scope, keys", [
+    ({"foo": 1}, "market", ["foo"]),
+    ({"seed": 3}, "market", ["seed"]),  # the run's seed seeds the market
+    ({"leadlag_edges": [{"leader": 0, "follower": 1, "bar": 2}]}, "leadlag_edges", ["bar"]),
+])
+def test_synth_refuses_unknown_market_keys(tmp_path, market, scope, keys):
+    # these failed with Python's own text on a keyword argument the dataclass does not take
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"market": market}))
+    with pytest.raises(SystemExit, match=re.escape(f"config error: unknown {scope} keys {keys}")):
         main(["synth", "--config", str(config), "--out", str(tmp_path)])
     assert not (tmp_path / "trades.csv").exists()

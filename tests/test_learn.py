@@ -443,6 +443,51 @@ def test_candidate_draws_replay_rejected_words(K, m):
     assert len(rejected) > 40 if bounds else not rejected
 
 
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _zero_ahead(seed, k, half):
+    """A generator whose (k + 1)-th raw output is 0, two zero words, holding ``half`` as its
+    buffered 32-bit word if given.  PCG64 steps its 128-bit state and outputs the new state's
+    XSL-RR, which is 0 for a state ``(x << 64) | x``: set the state one step before that one,
+    then step back k outputs."""
+    rng = np.random.default_rng(seed)
+    x = int(rng.bit_generator.random_raw())
+    state = rng.bit_generator.state
+    target = (x << 64) | x
+    state["state"]["state"] = (target - state["state"]["inc"]) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(2**128 - k)  # resets the buffered half-word
+    if half is not None:
+        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": half}
+    return rng
+
+
+@pytest.mark.parametrize("K, m", [(27, 6), (60, 8), (5, 3), (12, 4)])
+def test_candidate_draws_equal_numpy_choice_after_a_rejected_word(K, m):
+    # a zero word is rejected for every bound j whose j + 1 is not a power of 2, and the
+    # two zero words land on the first set (k = 0, 3), later in the first block (k = 40)
+    # or in a later block (k = 200), with and without a buffered half-word
+    setups = [(k, half) for k in (0, 3, 40, 200) for half in (None, 0x9E3779B9)]
+    generators = lambda: [_zero_ahead(K * 100 + m + t, k, h) for t, (k, h) in enumerate(setups)]  # noqa: E731
+    n_trees, steps = len(setups), 120
+    for rng, (k, half) in zip(generators(), setups):
+        assert rng.bit_generator.random_raw(k + 1)[-1] == 0
+    for rng, (k, half) in zip(generators(), setups):  # the zero words do reach a rejection
+        rejected = []
+        words = _word_stream(rng.bit_generator, half)
+        for _ in range(steps - steps // 4):  # the sets each tree takes below
+            _reference_choice(words, K, m, rejected)
+        assert rejected
+    draws = _CandidateDraws(generators(), K, m)
+    twins = generators()
+    for step in range(steps):
+        trees = np.array([t for t in range(n_trees) if (step + t) % 4])
+        got = draws.take(trees)
+        for row, t in zip(got.tolist(), trees.tolist()):
+            assert row == sorted(twins[t].choice(K, size=m, replace=False).tolist()), (step, t)
+
+
 def test_oob_accuracy_scores_only_rows_that_were_out_of_bag():
     X, y = _single_informative(n=200, seed=19)
     model = train_forest(X, y, ForestConfig(n_trees=1), seed=0)
