@@ -40,7 +40,7 @@ from .ingest import (
     trade_size_histogram,
 )
 from .io import parse_trades
-from .leadlag import LEADLAG_EDGE, LeadLagNetwork, aggregate_groups, build_leadlag, expand_trader_leadlag
+from .leadlag import LEADLAG_EDGE, aggregate_groups, build_leadlag, expand_trader_leadlag
 from .learn import ForestConfig
 from .predict import DEFAULT_WINDOWS, CalibrationSchedule, _structure, rolling_forecasts
 from .stability import adjusted_rand_index, export_river, leadlag_overlap_beta, relabel_partition
@@ -50,11 +50,13 @@ from .synth import MarketSpec, PlantedEdge, check_fields, generate_market
 
 def _fields_of(cls, data, scope="", own=()) -> dict:
     """The YAML mapping ``data`` as keyword arguments of the dataclass ``cls``: lists become tuples, and
-    keys that are not fields of ``cls``, or that the caller sets itself (``own``), are refused.  Every
-    other value is left for `check_fields` to refuse."""
-    unknown = set(data) - ({f.name for f in dataclasses.fields(cls)} - set(own))
-    if unknown:
-        raise ValueError(f"unknown {scope}keys {sorted(unknown)}")
+    keys that are not fields of ``cls``, or that the caller sets itself (``own``), are refused, as are
+    missing fields that have no default.  Every other value is left for `check_fields` to refuse."""
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in own}
+    required = {k for k, f in fields.items() if f.default is f.default_factory is dataclasses.MISSING}
+    for kind, keys in (("unknown", set(data) - set(fields)), ("missing", required - set(data))):
+        if keys:
+            raise ValueError(f"{kind} {scope}keys {sorted(keys)}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
@@ -259,7 +261,7 @@ def leadlag_stage(cfg: RunConfig, matrix, partition: dict, out: Path):
     if partition:
         net = build_leadlag(aggregate_groups(matrix, partition, cfg.rho0), FdrConfig(cfg.p0))
     else:
-        net = LeadLagNetwork(groups=[], edges=np.zeros(0, LEADLAG_EDGE), threshold=0.0, n_tests=0, p0=cfg.p0, n_pairs=0)
+        net = ValidatedNetwork(nodes=[], edges=np.zeros(0, LEADLAG_EDGE), threshold=0.0, n_tests=0, p0=cfg.p0, T=0)
     tfio.write_leadlag(out, net, expand_trader_leadlag(net, partition))
     print(f"leadlag: {len(net.edges)} validated directed edges -> {out}")
 
@@ -285,8 +287,8 @@ def cmd_stability(args):
         raw = _structure(window, cfg.top_n, cfg.min_trades, cfg.p0, cfg.seed)
         # detect_communities labels 1..k, so the first window keeps its own labels
         lab, next_fresh = relabel_partition(previous, raw, next_fresh)
-        series = aggregate_groups(window, lab, cfg.rho0) if lab else None
-        adjacency = expand_trader_leadlag(build_leadlag(series, FdrConfig(cfg.p0)), lab) if lab else None
+        groups = aggregate_groups(window, lab, cfg.rho0) if lab else None
+        adjacency = expand_trader_leadlag(build_leadlag(groups, FdrConfig(cfg.p0)), lab) if lab else None
         end = tfio.iso_ms(int(matrix.grid.ends[b[d] - 1]))
         if not previous.keys().isdisjoint(lab):  # ARI compares the traders both windows hold
             ari_rows.append((end, adjusted_rand_index(previous, lab)))

@@ -87,7 +87,7 @@ class TimeGrid:
 
     @property
     def n_days(self) -> int:
-        return len(np.unique(self.day_index))
+        return len(self.day_bounds()) - 1
 
     def contiguous_with_previous(self) -> np.ndarray:
         """Boolean mask: slice t follows slice t-1 with no session gap."""

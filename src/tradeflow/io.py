@@ -363,11 +363,13 @@ def read_state_matrix(out_dir) -> StateMatrix:
     header ``write_state_matrix`` writes, and every row parses, names a trader
     of ``states.csv`` and a slice index in ``[0, T)``, and no (trader, slice)
     pair twice.  Both files are parsed column-wise, in one ``np.loadtxt`` pass
-    each.  ``day_index`` numbers the trading days 0, 1, ... in slice order,
-    which ``TimeGrid.day_bounds`` reads.
+    each.  ``day_index`` numbers the trading days 0, 1, ... in slice order
+    (``TimeGrid.day_bounds``), a new day at each slice that does not start
+    where the one before ends (``TimeGrid.contiguous_with_previous``).
     """
     out_dir = Path(out_dir)
-    meta = json.loads((out_dir / "states_meta.json").read_text())
+    path = out_dir / "states_meta.json"
+    meta = json.loads(path.read_text())
     grid = TimeGrid(
         **{name: meta[name] for name in TimeGrid._columns},
         slice_duration=timedelta(minutes=meta["slice_minutes"]),
@@ -376,11 +378,12 @@ def read_state_matrix(out_dir) -> StateMatrix:
         tz=meta["tz"],
         include_weekends=meta["include_weekends"],
     )
-    day = grid.day_index
-    bad = np.flatnonzero(day != np.cumsum(np.diff(day, prepend=day[:1]) != 0))  # each slice's run of equal days
+    day, run = grid.day_index, np.cumsum(~grid.contiguous_with_previous()) - 1  # each slice's run of contiguous slices
+    bad = np.flatnonzero(day != run)
     if bad.size:
-        raise ValueError(f"{out_dir / 'states_meta.json'}: slice {bad[0]} has day_index {day[bad[0]]}, "
-                         "but the trading days must be numbered 0, 1, ... in slice order")
+        raise ValueError(f"{path}: slice {bad[0]} has day_index {day[bad[0]]}, but its trading day is {run[bad[0]]}: "
+                         "the days are numbered 0, 1, ... in slice order, and a new day starts at each slice that "
+                         "does not start where the one before ends")
     T = len(grid)
     path = out_dir / "states.csv"
     with open(path, newline="") as fh:
@@ -475,15 +478,15 @@ def read_partition(path) -> dict:
     return partition
 
 
-def write_leadlag(out_dir, network, adjacency):
+def write_leadlag(out_dir, network: ValidatedNetwork, adjacency):
     out_dir = Path(out_dir)
     _write_csv(out_dir / "leadlag_edges.csv", LEADLAG_EDGE.names, network.edges.tolist())
     write_json(out_dir / "leadlag_meta.json", {
         "n_tests": network.n_tests,
         "p0": network.p0,
         "threshold": network.threshold,
-        "n_pairs": network.n_pairs,
-        "groups": [int(g) for g in network.groups],
+        "n_pairs": network.T,
+        "groups": [int(g) for g in network.nodes],
     })
     _write_csv(out_dir / "leadlag_lambda.csv", ["i", "j", "value"],
                ([adjacency.traders[a], adjacency.traders[b], 1] for a, b in zip(*np.nonzero(adjacency.matrix))))

@@ -1,11 +1,12 @@
 """Group-level state aggregation and validated lead-lag networks.
 
-Group states follow the same imbalance-ratio rule as trader states.  A
-directed edge (g, s) -> (g', s') means group g in state s at slice t
-systematically precedes group g' in state s' at slice t+1; self-loops are
-allowed and the hypothesis family counts all 9 * N_groups^2 ordered tests.
-The validated edges are one array of ``LEADLAG_EDGE``, whose field names are
-the header of ``leadlag_edges.csv``.
+The groups' states are a ``StateMatrix`` with one row per group, classified
+by the imbalance-ratio rule of trader states.  A directed edge (g, s) -> (g', s')
+means group g in state s at slice t systematically precedes group g' in state
+s' at slice t+1; self-loops are allowed and the hypothesis family counts all
+9 * N_groups^2 ordered tests.  The network is a ``svn.ValidatedNetwork`` whose
+edges are one array of ``LEADLAG_EDGE``, whose field names are the header of
+``leadlag_edges.csv``.
 """
 
 from __future__ import annotations
@@ -15,36 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import ACTIVE_STATES, StateMatrix, states_from_volumes
-from .svn import FdrConfig, _cooccurrence_tests, validated_edges
+from .svn import FdrConfig, ValidatedNetwork, _cooccurrence_tests, validated_edges
 
 # one validated edge: group from_group in state_from precedes group to_group in state_to
 LEADLAG_EDGE = np.dtype([("from_group", np.int64), ("to_group", np.int64), ("state_from", np.int64),
                          ("state_to", np.int64), ("co_count", np.int64), ("p_value", np.float64)])
-
-
-@dataclass
-class GroupStateSeries:
-    """Per-group aggregated volumes and states over a common grid."""
-
-    labels: list
-    grid: object
-    V: np.ndarray  # (n_groups, n_slices)
-    G: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.labels)
-
-
-@dataclass
-class LeadLagNetwork:
-    groups: list
-    edges: np.ndarray  # LEADLAG_EDGE
-    threshold: float
-    n_tests: int
-    p0: float
-    n_pairs: int  # aligned (t, t+1) slice pairs actually tested
 
 
 @dataclass
@@ -53,11 +29,12 @@ class TraderLeadLagAdjacency:
     matrix: np.ndarray  # boolean (n, n); [i, j] means i's group leads j's group
 
 
-def aggregate_groups(matrix: StateMatrix, partition: dict, rho0: float = 0.01) -> GroupStateSeries:
+def aggregate_groups(matrix: StateMatrix, partition: dict, rho0: float = 0.01) -> StateMatrix:
     """Aggregate trader volumes to group level and classify group states.
 
-    Traders absent from the partition are excluded; empty partitions are an
-    error.  Gross volumes add: G_g = sum of member G.
+    One row per group, its label in ``traders`` in ascending order; V, G and
+    counts are the members' sums.  Traders absent from the partition are
+    excluded; empty partitions are an error.
     """
     if not partition:
         raise ValueError("empty partition")
@@ -66,14 +43,15 @@ def aggregate_groups(matrix: StateMatrix, partition: dict, rho0: float = 0.01) -
     n_groups, T = len(labels), matrix.n_slices
     V = np.zeros((n_groups, T))
     G = np.zeros((n_groups, T))
+    counts = np.zeros((n_groups, T), dtype=np.int64)
     for k, trader in enumerate(matrix.traders):
         g = partition.get(trader)
         if g is None:
             continue
         V[lab_index[g]] += matrix.V[k]
         G[lab_index[g]] += matrix.G[k]
-    sigma = states_from_volumes(V, G, rho0)
-    return GroupStateSeries(labels=labels, grid=matrix.grid, V=V, G=G, sigma=sigma)
+        counts[lab_index[g]] += matrix.counts[k]
+    return StateMatrix(labels, matrix.grid, V, G, states_from_volumes(V, G, rho0), counts)
 
 
 def _lag_pairs(grid) -> np.ndarray:
@@ -81,32 +59,32 @@ def _lag_pairs(grid) -> np.ndarray:
     return np.flatnonzero(grid.contiguous_with_previous()[1:])
 
 
-def build_leadlag(series: GroupStateSeries, config: FdrConfig = FdrConfig()) -> LeadLagNetwork:
+def build_leadlag(groups: StateMatrix, config: FdrConfig = FdrConfig()) -> ValidatedNetwork:
     """Validate lag-1 co-occurrences between group states.
 
     Only (t, t+1) pairs within a session are aligned (no pairing across
     overnight or weekend gaps).  BH is applied with the full family size
     m = 9 * N_groups^2; untestable combinations contribute p = 1 implicitly.
     """
-    n_groups = series.n_groups
-    t_lead = _lag_pairs(series.grid)
+    n_groups = groups.n_traders
+    t_lead = _lag_pairs(groups.grid)
     m = 9 * n_groups * n_groups
-    lead = {s: (series.sigma[:, t_lead] == s) for s in ACTIVE_STATES}
-    lag = {s: (series.sigma[:, t_lead + 1] == s) for s in ACTIVE_STATES}
+    lead = {s: (groups.sigma[:, t_lead] == s) for s in ACTIVE_STATES}
+    lag = {s: (groups.sigma[:, t_lead + 1] == s) for s in ACTIVE_STATES}
     gi, gj = np.divmod(np.arange(n_groups * n_groups), n_groups)
     threshold, _, rejected = _cooccurrence_tests(lead, lag, gi, gj, len(t_lead), config.p0, n_tests=m)
-    return LeadLagNetwork(
-        groups=list(series.labels),
+    return ValidatedNetwork(
+        nodes=list(groups.traders),
         # the labels are sorted, so a group's index is its rank
-        edges=validated_edges(LEADLAG_EDGE, np.asarray(series.labels), np.arange(n_groups), rejected),
+        edges=validated_edges(LEADLAG_EDGE, np.asarray(groups.traders), np.arange(n_groups), rejected),
         threshold=threshold,
         n_tests=m,
         p0=config.p0,
-        n_pairs=len(t_lead),
+        T=len(t_lead),
     )
 
 
-def expand_trader_leadlag(network: LeadLagNetwork, partition: dict) -> TraderLeadLagAdjacency:
+def expand_trader_leadlag(network: ValidatedNetwork, partition: dict) -> TraderLeadLagAdjacency:
     """Expand validated group edges to the trader-level adjacency Lambda.
 
     Lambda[i, j] = 1 iff some validated edge leads from trader i's group to

@@ -54,21 +54,19 @@ def build_predictors(sigma: np.ndarray, grid, lag_depth: int = 1):
     """Assemble the predictor matrix from group state series.
 
     Row t is (sigma_{1,t}, ..., sigma_{N,t}, sigma_{1,t-1}, ..., hour(t));
-    rows whose lags cross a session gap are dropped.  Returns ``(X, rows)``
-    with ``rows`` the slice indices of the retained rows.
+    rows whose lags cross a session gap (``grid.contiguous_with_previous``, as
+    in ``leadlag``) are dropped.  Returns ``(X, rows)``, ``rows`` the slice
+    indices of the retained rows.
     """
     if lag_depth < 1:
         raise ValueError("lag_depth must be >= 1")
     n_groups, T = sigma.shape
     if T < lag_depth + 1:
         raise ValueError(f"window of {T} slices is shorter than lag_depth+1={lag_depth + 1}")
-    valid = np.ones(T, dtype=bool)
-    valid[:lag_depth] = False
-    for ell in range(1, lag_depth + 1):
-        same_day = np.zeros(T, dtype=bool)
-        same_day[ell:] = grid.day_index[ell:] == grid.day_index[:-ell]
-        valid &= same_day
-    rows = np.flatnonzero(valid)
+    t = np.arange(T)
+    # slices since the last one that does not follow its predecessor (slice 0 never does)
+    since_gap = t - np.maximum.accumulate(np.where(grid.contiguous_with_previous(), 0, t))
+    rows = np.flatnonzero(since_gap >= lag_depth)
     blocks = [sigma[:, rows].T]
     for ell in range(1, lag_depth + 1):
         blocks.append(sigma[:, rows - ell].T)

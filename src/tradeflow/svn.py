@@ -4,7 +4,8 @@ For every trader pair and every ordered pair of active states, the number of
 co-occurring slices is tested against a hypergeometric null (random placement
 of each trader's state occurrences over the window).  Benjamini-Hochberg
 controls the false discovery rate over the whole family of tests.  The
-lagged group network of ``leadlag`` is validated by the same routine.
+lagged group network of ``leadlag`` is a ``ValidatedNetwork`` validated by
+the same routine.
 
 A network's links are one array of its edge dtype (``SVN_EDGE`` here,
 ``leadlag.LEADLAG_EDGE``), whose field names are its edge file's header.
@@ -48,12 +49,12 @@ class FdrConfig:
 
 @dataclass
 class ValidatedNetwork:
-    nodes: list
-    edges: np.ndarray  # SVN_EDGE links that passed FDR
+    nodes: list  # the traders with a link (SVN), or every group tested (lead-lag)
+    edges: np.ndarray  # the links that passed FDR: SVN_EDGE, or leadlag.LEADLAG_EDGE
     threshold: float
     n_tests: int
     p0: float
-    T: int
+    T: int  # the window's slices (SVN), or its aligned (t, t+1) slice pairs (lead-lag)
 
 
 def _log_factorials(T: int) -> np.ndarray:

@@ -525,3 +525,13 @@ def test_synth_refuses_unknown_market_keys(tmp_path, market, scope, keys):
     with pytest.raises(SystemExit, match=re.escape(f"config error: unknown {scope} keys {keys}")):
         main(["synth", "--config", str(config), "--out", str(tmp_path)])
     assert not (tmp_path / "trades.csv").exists()
+
+
+@pytest.mark.parametrize("edge, keys", [({"leader": 0}, ["follower"]), ({"follower": 1, "invert": True}, ["leader"])])
+def test_synth_refuses_a_planted_edge_without_its_ends(tmp_path, edge, keys):
+    # these failed with Python's own text on a missing positional argument of PlantedEdge
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"market": {"leadlag_edges": [edge]}}))
+    with pytest.raises(SystemExit, match=re.escape(f"config error: missing leadlag_edges keys {keys}")):
+        main(["synth", "--config", str(config), "--out", str(tmp_path)])
+    assert not (tmp_path / "trades.csv").exists()

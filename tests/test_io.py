@@ -112,6 +112,19 @@ def _swap_the_first_two_days(text):
     return json.dumps(meta, indent=1)
 
 
+def _open_a_gap_after_the_first_slice(text):
+    meta = json.loads(text)
+    meta["starts"][1] += 60_000
+    return json.dumps(meta, indent=1)
+
+
+def _join_the_first_two_days(text):
+    meta = json.loads(text)
+    first = meta["day_index"].index(1)
+    meta["starts"][first] = meta["ends"][first - 1]
+    return json.dumps(meta, indent=1)
+
+
 def _add_a_trader(text):
     meta = json.loads(text)
     meta["n_traders"] += 1
@@ -144,11 +157,17 @@ def _add_a_trader(text):
         ("states.csv", _then_a_blank_line(_edit_row(3, 1, "x")), r"states\.csv line 4: \S+ 'x' does not parse"),
         # day_bounds reads the days from day_index, so swapped days would give wrong windows
         ("states_meta.json", _swap_the_first_two_days, r"states_meta\.json: slice 0 has day_index 1, but"),
+        # predict and leadlag lag only across contiguous slices, and a trading day must be one such run
+        ("states_meta.json", _open_a_gap_after_the_first_slice,
+         r"states_meta\.json: slice 1 has day_index 0, but its trading day is 1: "),
+        ("states_meta.json", _join_the_first_two_days,
+         r"states_meta\.json: slice 7 has day_index 1, but its trading day is 0: "),
     ],
     ids=["short-states-row", "unknown-trader", "negative-slice", "slice-past-end", "repeated-trader", "missing-trader",
          "non-number-state", "state-out-of-int8", "short-volume-row", "non-number-volume", "fractional-count",
          "repeated-volume-cell", "reordered-columns", "unknown-trader-after-blank-line",
-         "repeated-cell-after-blank-line", "non-number-state-after-blank-line", "swapped-days"],
+         "repeated-cell-after-blank-line", "non-number-state-after-blank-line", "swapped-days",
+         "gap-inside-a-day", "back-to-back-days"],
 )
 def test_state_matrix_shape_mismatch_is_refused(tmp_path, market, name, edit, message):
     trades, truth = market

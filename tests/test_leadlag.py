@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from tradeflow.ingest import StateMatrix, build_grid
+from tradeflow.ingest import StateMatrix, build_grid, filter_active
 from tradeflow.leadlag import (
+    LEADLAG_EDGE,
     TraderLeadLagAdjacency,
     aggregate_groups,
     build_leadlag,
     expand_trader_leadlag,
 )
-from tradeflow.svn import FdrConfig
+from tradeflow.svn import FdrConfig, ValidatedNetwork
 
 
 def _matrix(V, G, n_days=20):
@@ -32,7 +33,7 @@ def test_aggregate_sums_and_reclassifies():
     G = [[1000.0], [1000.0]]
     m = _matrix(V, G)
     series = aggregate_groups(m, {"t0": 1, "t1": 1})
-    assert series.n_groups == 1
+    assert series.n_traders == 1
     assert series.V[0, 0] == 0.0
     assert series.G[0, 0] == 2000.0
     assert series.sigma[0, 0] == 2
@@ -42,9 +43,30 @@ def test_aggregate_ignores_unpartitioned_traders():
     V = [[1000.0], [-500.0]]
     G = [[1000.0], [500.0]]
     series = aggregate_groups(_matrix(V, G), {"t0": 3})
-    assert series.labels == [3]
+    assert series.traders == [3]
     assert series.V[0, 0] == 1000.0
     assert series.sigma[0, 0] == 1
+
+
+def test_aggregate_groups_is_a_state_matrix_of_the_groups():
+    # rows are the groups in ascending label order; V, G and counts are the members' sums
+    V = [[1000.0, -200.0, 0.0], [-500.0, 0.0, 0.0], [300.0, 300.0, 0.0], [7.0, 7.0, 7.0]]
+    G = [[1000.0, 200.0, 0.0], [500.0, 0.0, 0.0], [300.0, 300.0, 0.0], [7.0, 7.0, 7.0]]
+    m = _matrix(V, G)
+    m.counts[:] = [[3, 1, 0], [2, 0, 0], [5, 4, 0], [9, 9, 9]]
+    groups = aggregate_groups(m, {"t2": 4, "t0": 2, "t1": 4})
+    assert isinstance(groups, StateMatrix)
+    assert groups.traders == [2, 4]
+    assert groups.grid is m.grid
+    assert groups.V.tolist() == [[1000.0, -200.0, 0.0], [-200.0, 300.0, 0.0]]
+    assert groups.G.tolist() == [[1000.0, 200.0, 0.0], [800.0, 300.0, 0.0]]
+    assert groups.counts.tolist() == [[3, 1, 0], [7, 4, 0]]
+    assert groups.sigma.tolist() == [[1, -1, 0], [-1, 1, 0]]
+    # the functions of a trader matrix take it as it is
+    assert groups.trade_counts.tolist() == [4, 11]
+    assert filter_active(groups, top_n=1, min_trades=5).traders == [4]
+    window = groups.slice_window(1, 3)
+    assert window.counts.tolist() == [[1, 0], [4, 0]] and window.sigma.tolist() == [[-1, 0], [1, 0]]
 
 
 def test_aggregate_empty_partition_errors():
@@ -55,14 +77,13 @@ def test_aggregate_empty_partition_errors():
 def _series_from_sigma(sigma):
     sigma = np.asarray(sigma, dtype=np.int8)
     grid = build_grid("2024-01-01", "2024-06-01").window(0, sigma.shape[1])
-    from tradeflow.leadlag import GroupStateSeries
-
-    return GroupStateSeries(
-        labels=list(range(1, sigma.shape[0] + 1)),
+    return StateMatrix(
+        traders=list(range(1, sigma.shape[0] + 1)),
         grid=grid,
         V=np.zeros(sigma.shape),
         G=np.zeros(sigma.shape),
         sigma=sigma,
+        counts=np.zeros(sigma.shape, dtype=np.int64),
     )
 
 
@@ -83,7 +104,7 @@ def test_lag_pairs_never_cross_session_gaps():
     series = _series_from_sigma(sigma)
     net = build_leadlag(series)
     # 6 aligned pairs per 7-slice day
-    assert net.n_pairs == 70 * 6
+    assert net.T == 70 * 6
     pairs = set(zip(net.edges["from_group"].tolist(), net.edges["to_group"].tolist()))
     assert (1, 2) in pairs
 
@@ -116,15 +137,13 @@ def _trader_pairs(lam):
 
 
 def test_expand_trader_adjacency_blocks():
-    from tradeflow.leadlag import LEADLAG_EDGE, LeadLagNetwork
-
-    net = LeadLagNetwork(
-        groups=[1, 2],
+    net = ValidatedNetwork(
+        nodes=[1, 2],
         edges=np.array([(1, 2, 1, 1, 10, 1e-6)], dtype=LEADLAG_EDGE),
         threshold=1e-6,
         n_tests=36,
         p0=0.05,
-        n_pairs=100,
+        T=100,
     )
     partition = {"a": 1, "b": 1, "c": 2}
     lam = expand_trader_leadlag(net, partition)
@@ -132,19 +151,15 @@ def test_expand_trader_adjacency_blocks():
 
 
 def test_expand_empty_network():
-    from tradeflow.leadlag import LEADLAG_EDGE, LeadLagNetwork
-
-    net = LeadLagNetwork(groups=[1], edges=np.zeros(0, LEADLAG_EDGE), threshold=0.0, n_tests=9, p0=0.05, n_pairs=10)
+    net = ValidatedNetwork(nodes=[1], edges=np.zeros(0, LEADLAG_EDGE), threshold=0.0, n_tests=9, p0=0.05, T=10)
     lam = expand_trader_leadlag(net, {"a": 1})
     assert _trader_pairs(lam) == set()
 
 
 def test_expand_edge_to_a_group_outside_the_partition():
-    from tradeflow.leadlag import LEADLAG_EDGE, LeadLagNetwork
-
     # group 3 leads and is led, but no trader of the partition belongs to it
     edges = np.array([(1, 2, 1, 1, 10, 1e-6), (3, 1, 1, 1, 10, 1e-6), (2, 3, -1, 1, 10, 1e-6)], dtype=LEADLAG_EDGE)
-    net = LeadLagNetwork(groups=[1, 2, 3], edges=edges, threshold=1e-6, n_tests=81, p0=0.05, n_pairs=100)
+    net = ValidatedNetwork(nodes=[1, 2, 3], edges=edges, threshold=1e-6, n_tests=81, p0=0.05, T=100)
     lam = expand_trader_leadlag(net, {"a": 1, "b": 2, "c": 2})
     assert lam.traders == ["a", "b", "c"]
     assert _trader_pairs(lam) == {("a", "b"), ("a", "c")}

@@ -1,10 +1,12 @@
 import hashlib
+from datetime import time, timedelta
 
 import numpy as np
 import pytest
 
 from tradeflow import predict
-from tradeflow.ingest import StateMatrix, Trades, build_grid, classify_states, states_from_volumes
+from tradeflow.ingest import StateMatrix, TimeGrid, Trades, build_grid, classify_states, states_from_volumes
+from tradeflow.leadlag import _lag_pairs
 from tradeflow.learn import ForestConfig
 from tradeflow.predict import (
     CalibrationSchedule,
@@ -47,6 +49,47 @@ def test_predictor_width_formula_lag_two():
     assert X.shape[1] == (2 + 1) * 3 + 1
     # first two slices of each day lack in-session lags
     assert 7 not in rows and 8 not in rows and 9 in rows
+
+
+_GRIDS = {
+    "45-min": dict(start_date="2024-01-01", end_date="2024-01-20", slice_duration=timedelta(minutes=45)),
+    "16:30-close": dict(start_date="2024-01-01", end_date="2024-01-20", session_end=time(16, 30)),
+    "london-spring": dict(start_date="2024-03-28", end_date="2024-04-03", session_start=time(0, 0),
+                          session_end=time(23, 0), include_weekends=True),
+    "london-autumn": dict(start_date="2024-10-24", end_date="2024-10-30", session_start=time(0, 0),
+                          session_end=time(23, 0), include_weekends=True),
+    "new-york-spring": dict(start_date="2024-03-07", end_date="2024-03-13", slice_duration=timedelta(minutes=30),
+                            tz="America/New_York"),
+    "new-york-autumn": dict(start_date="2024-10-31", end_date="2024-11-06", slice_duration=timedelta(minutes=30),
+                            tz="America/New_York"),
+}
+
+
+@pytest.mark.parametrize("lag_depth", [1, 2])
+@pytest.mark.parametrize("kwargs", _GRIDS.values(), ids=_GRIDS.keys())
+def test_predictor_rows_stay_inside_a_trading_day(kwargs, lag_depth):
+    # on the grids build_grid makes, a trading day is one run of contiguous slices, so the
+    # contiguity rule keeps exactly the rows whose lags fall on the row's own trading day
+    grid = build_grid(**kwargs)
+    day = grid.day_index
+    assert grid.n_days == len(np.unique(day)) > 2
+    assert (grid.contiguous_with_previous()[1:] == (day[1:] == day[:-1])).all()
+    sigma = np.random.default_rng(lag_depth).choice([-1, 1, 2], size=(2, len(grid))).astype(np.int8)
+    X, rows = build_predictors(sigma, grid, lag_depth)
+    t = np.arange(lag_depth, len(grid))
+    assert rows.tolist() == t[day[t] == day[t - lag_depth]].tolist()
+    assert X[:, -1].tolist() == grid.local_hour[rows].tolist()
+
+
+def test_predictor_rows_skip_a_gap_inside_a_day():
+    # one trading day of six hourly slices with an hour missing after the third: the row after
+    # the gap would lag across it, so it is dropped, as leadlag drops the pair (2, 3)
+    hour = 3_600_000
+    starts = np.array([0, 1, 2, 4, 5, 6]) * hour
+    grid = TimeGrid(starts=starts, ends=starts + hour, day_index=[0] * 6, local_hour=[9, 10, 11, 13, 14, 15])
+    sigma = np.ones((1, 6), dtype=np.int8)
+    assert build_predictors(sigma, grid, 1)[1].tolist() == (_lag_pairs(grid) + 1).tolist() == [1, 2, 4, 5]
+    assert build_predictors(sigma, grid, 2)[1].tolist() == [2, 5]
 
 
 def test_predictor_errors():
